@@ -1,5 +1,8 @@
 //! Microbench: the O(n) maintained-Gram rotation update (the paper's key
-//! optimization) at several column dimensions, plus the one-off Gram build.
+//! optimization) at several column dimensions, plus the one-off Gram build
+//! (the preprocessor) at those dimensions and at the shapes the benchmark
+//! of record solves: the 16384×64 tall input and the service's 64×32
+//! single and 32×16 bulk jobs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hj_core::rotation::textbook_params;
@@ -28,6 +31,12 @@ fn bench_gram(c: &mut Criterion) {
                 },
                 criterion::BatchSize::LargeInput,
             )
+        });
+    }
+    for (m, n) in [(16384usize, 64usize), (64, 32), (32, 16)] {
+        let a = gen::uniform(m, n, 42);
+        g.bench_with_input(BenchmarkId::new("build", format!("{m}x{n}")), &a, |b, a| {
+            b.iter(|| black_box(GramState::from_matrix(black_box(a))))
         });
     }
     g.finish();

@@ -411,8 +411,10 @@ impl<'a> BatchDriver<'a> {
     /// Pack the batch into the workspace's SoA layout: per problem,
     /// validate (empty / non-finite inputs are rejected into their own
     /// slot), choose the guarded-numerics prescale exponent, and build the
-    /// Gram triangle straight into the problem's lane (the same
-    /// [`ops::dot`] per entry as [`crate::GramState::from_matrix`]).
+    /// Gram triangle straight into the problem's lane with one [`ops::dot`]
+    /// per entry. That is bitwise what [`crate::GramState::from_matrix`]
+    /// stores too: its blocked kernel resumes and finishes each entry's
+    /// accumulators exactly as `ops::dot` does, just with shared loads.
     ///
     /// # Panics
     /// Panics if the matrices do not all share one column count — the SoA
@@ -432,16 +434,16 @@ impl<'a> BatchDriver<'a> {
                 ws.outcome[p] = LaneOutcome::Invalid(SvdError::EmptyInput);
                 continue;
             }
-            if !mat.as_slice().iter().all(|v| v.is_finite()) {
+            let Some(max_abs) = mat.finite_max_abs() else {
                 ws.outcome[p] = LaneOutcome::Invalid(SvdError::NonFiniteInput);
                 continue;
-            }
+            };
             if zero_budget {
                 ws.outcome[p] = LaneOutcome::Invalid(SvdError::ZeroSweepBudget);
                 continue;
             }
             ws.active[p] = 1;
-            let exp = prescale_exponent(mat.max_abs());
+            let exp = prescale_exponent(max_abs);
             ws.exps[p] = exp;
             let block = ws.block;
             // Problem p's entries stride by `block` from its lane base.

@@ -1,4 +1,22 @@
+use crate::ops::{dot_finish, dot_resume, DotAcc, DOT_LANES};
+use crate::packed::row_offset;
 use crate::{ColumnPair, MatrixError, PackedSymmetric, Result};
+use std::ops::Range;
+
+/// Rows per panel of the blocked Gram build ([`Matrix::gram`]): a
+/// multiple of the dot's 16 lanes, so panel edges never split a lane
+/// chunk, and small enough that a tile pair's columns stay cache-resident
+/// while all its register tiles read them.
+const GRAM_PANEL: usize = 1024;
+
+/// Below this many rows in whole 16-row chunks the Gram build runs plain
+/// per-entry dots: with so few chunks per dot, a register tile's set-up
+/// and finish cost more than its shared loads save.
+const GRAM_MIN_TILED_ROWS: usize = 64;
+
+/// Dots per tile pair of the blocked Gram build. Their accumulators
+/// (16 lanes each, 64 KiB at 512) carry over between panels on the stack.
+const GRAM_TILE_DOTS: usize = 512;
 
 /// A dense, column-major `rows × cols` matrix of `f64`.
 ///
@@ -241,15 +259,44 @@ impl Matrix {
     /// This is exactly the matrix the paper's Hestenes preprocessor computes
     /// in the first sweep: diagonal entries are squared column 2-norms,
     /// off-diagonals are covariances between column pairs.
+    ///
+    /// The build is cache-blocked the way the paper's preprocessor reuses
+    /// its operands. The triangle is cut into tile pairs: a row tile of a
+    /// few columns `i` against a column tile of up to the rest of the
+    /// triangle row, at most `GRAM_TILE_DOTS` dots in all. Each tile pair
+    /// walks the matrix rows in panels of `GRAM_PANEL` (a multiple of the
+    /// dot's 16 lanes), so every column of the pair is read from memory
+    /// once and then reused from cache, and within a panel 2×2 register
+    /// tiles share every column load between two dots. Each dot's
+    /// accumulators carry over from panel to panel in row order and are
+    /// finished with the dot's own tail and reduction, so every entry is
+    /// bit-identical to `ops::dot(col i, col j)`. The accumulators live on
+    /// the stack; nothing but the triangle is allocated. Matrices with
+    /// fewer than `GRAM_MIN_TILED_ROWS` rows in whole 16-row chunks take
+    /// one plain `ops::dot` per entry instead.
     pub fn gram(&self) -> PackedSymmetric {
         let n = self.cols;
         let mut d = PackedSymmetric::zeros(n);
-        for i in 0..n {
-            let ci = self.col(i);
-            for j in i..n {
-                let cj = self.col(j);
-                d.set(i, j, crate::ops::dot(ci, cj));
+        let out = d.as_mut_slice();
+        let wide = self.rows / DOT_LANES * DOT_LANES;
+        if wide < GRAM_MIN_TILED_ROWS {
+            let mut at = 0;
+            for i in 0..n {
+                for j in i..n {
+                    out[at] = crate::ops::dot(self.col(i), self.col(j));
+                    at += 1;
+                }
             }
+            return d;
+        }
+        let panels = wide.div_ceil(GRAM_PANEL);
+        if panels == 1 {
+            // A single panel starts and finishes every dot in registers, so
+            // it needs (and zeroes) no accumulator store.
+            GramBuild { a: self, out, wide, acc: &mut [] }.tile_pairs(panels);
+        } else {
+            let mut acc = [[0.0; DOT_LANES]; GRAM_TILE_DOTS];
+            GramBuild { a: self, out, wide, acc: &mut acc }.tile_pairs(panels);
         }
         d
     }
@@ -315,6 +362,140 @@ impl Matrix {
     /// Maximum absolute element, or 0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()))
+    }
+
+    /// Maximum absolute element (0 for an empty matrix), or `None` if any
+    /// element is NaN or ±∞: input validation and the prescale exponent's
+    /// scan in one pass.
+    ///
+    /// With the sign bit cleared, IEEE-754 bit patterns order like the
+    /// values they encode, and every NaN or ∞ pattern is at least `∞`'s.
+    /// So the pass is an integer max over eight independent lanes, which
+    /// vectorizes, and the maximum is exact: on finite input the result
+    /// has the same bits as [`Matrix::max_abs`].
+    pub fn finite_max_abs(&self) -> Option<f64> {
+        const MAGNITUDE: u64 = !(1 << 63);
+        let mut lanes = [0u64; 8];
+        let chunks = self.data.chunks_exact(lanes.len());
+        let rest = chunks.remainder();
+        for chunk in chunks {
+            for (m, v) in lanes.iter_mut().zip(chunk) {
+                *m = (*m).max(v.to_bits() & MAGNITUDE);
+            }
+        }
+        for v in rest {
+            lanes[0] = lanes[0].max(v.to_bits() & MAGNITUDE);
+        }
+        let max = lanes.into_iter().max().unwrap_or(0);
+        (max < f64::INFINITY.to_bits()).then(|| f64::from_bits(max))
+    }
+}
+
+/// State of one [`Matrix::gram`] build: the source, the packed triangle,
+/// and the accumulators of the tile pair in flight.
+struct GramBuild<'a> {
+    a: &'a Matrix,
+    out: &'a mut [f64],
+    /// Rows in whole 16-row chunks; the rest is each dot's finish tail.
+    wide: usize,
+    /// Dot `(i0 + r, j0 + c)` of the tile pair in flight at `r·w + c`
+    /// (`w` the column tile's width), carried between panels.
+    acc: &'a mut [DotAcc],
+}
+
+impl GramBuild<'_> {
+    /// Cut the triangle into tile pairs and run each over all
+    /// `panels`: a row tile of as many columns as fit the dot budget
+    /// against the whole rest of the triangle row (but at least one
+    /// register tile), against column tiles filling the budget.
+    fn tile_pairs(&mut self, panels: usize) {
+        let n = self.a.cols;
+        let mut i0 = 0;
+        while i0 < n {
+            let h = ((GRAM_TILE_DOTS / (n - i0)).max(2) & !1).min(n - i0);
+            let w = ((GRAM_TILE_DOTS / h) & !1).min(n - i0);
+            let it = i0..i0 + h;
+            for j0 in (i0..n).step_by(w) {
+                let jt = j0..(j0 + w).min(n);
+                for p in 0..panels {
+                    self.panel(&it, &jt, p, panels);
+                }
+            }
+            i0 += h;
+        }
+    }
+
+    /// Run panel `p` of `panels` over tile pair `it × jt` in 2×2 register
+    /// tiles (narrower at odd edges). Column `j` runs from the diagonal,
+    /// so only register tiles touching the upper triangle run; the one
+    /// lower dot of a diagonal register tile is computed but never kept.
+    fn panel(&mut self, it: &Range<usize>, jt: &Range<usize>, p: usize, panels: usize) {
+        let rows = p * GRAM_PANEL..((p + 1) * GRAM_PANEL).min(self.wide);
+        let step = (p == 0, p + 1 == panels);
+        let w = jt.len();
+        for i in it.clone().step_by(2) {
+            for j in (jt.start.max(i)..jt.end).step_by(2) {
+                let slot = (i - it.start) * w + (j - jt.start);
+                match (it.end - i >= 2, jt.end - j >= 2) {
+                    (true, true) => self.tile::<2, 2>(i, j, slot, w, &rows, step),
+                    (true, false) => self.tile::<2, 1>(i, j, slot, w, &rows, step),
+                    (false, true) => self.tile::<1, 2>(i, j, slot, w, &rows, step),
+                    (false, false) => self.tile::<1, 1>(i, j, slot, w, &rows, step),
+                }
+            }
+        }
+    }
+
+    /// Resume the `R × C` dots of columns `i.., j..` (accumulators at
+    /// `slot`, rows `w` apart) over `rows`: start from zero on the first
+    /// panel, and on the last finish each upper entry straight into `out`
+    /// instead of parking it in `acc`.
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(
+        &mut self,
+        i: usize,
+        j: usize,
+        slot: usize,
+        w: usize,
+        rows: &Range<usize>,
+        (first, last): (bool, bool),
+    ) {
+        let mut t = [[[0.0; DOT_LANES]; C]; R];
+        if !first {
+            for (r, tr) in t.iter_mut().enumerate() {
+                let at = slot + r * w;
+                tr.copy_from_slice(&self.acc[at..at + C]);
+            }
+        }
+        let a = self.a;
+        dot_resume(
+            &mut t,
+            std::array::from_fn(|r| &a.col(i + r)[rows.clone()]),
+            std::array::from_fn(|c| &a.col(j + c)[rows.clone()]),
+        );
+        if !last {
+            for (r, tr) in t.iter().enumerate() {
+                let at = slot + r * w;
+                self.acc[at..at + C].copy_from_slice(tr);
+            }
+            return;
+        }
+        let tail = self.wide..;
+        let done = dot_finish(
+            &t,
+            std::array::from_fn(|r| &a.col(i + r)[tail.clone()]),
+            std::array::from_fn(|c| &a.col(j + c)[tail.clone()]),
+        );
+        for (r, dr) in done.iter().enumerate() {
+            let ii = i + r;
+            // Offset of (ii, ii) in `out`; (ii, jj) follows at `jj − ii`.
+            let row = row_offset(a.cols, ii);
+            for (c, &v) in dr.iter().enumerate() {
+                if j + c >= ii {
+                    self.out[row + (j + c - ii)] = v;
+                }
+            }
+        }
     }
 }
 
@@ -434,6 +615,27 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         assert!(matches!(a.matmul(&b), Err(MatrixError::DimensionMismatch { .. })));
+    }
+
+    #[test]
+    fn finite_max_abs_matches_max_abs_or_flags_non_finite() {
+        let mut m = Matrix::zeros(7, 3);
+        assert_eq!(m.finite_max_abs().map(f64::to_bits), Some(0.0f64.to_bits()));
+        m.set(0, 0, -0.0);
+        assert_eq!(m.finite_max_abs().map(f64::to_bits), Some(0.0f64.to_bits()));
+        for (k, v) in [3.5, -7.25, 1e-310, -1e300, 2.0].into_iter().enumerate() {
+            m.set(k % 7, (k * 5) % 3, v);
+            assert_eq!(m.finite_max_abs().map(f64::to_bits), Some(m.max_abs().to_bits()));
+        }
+        for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = m.clone();
+            b.set(6, 2, bad); // in the scalar remainder
+            assert_eq!(b.finite_max_abs(), None);
+            b.set(6, 2, 0.0);
+            b.set(1, 0, bad); // in a lane chunk
+            assert_eq!(b.finite_max_abs(), None);
+        }
+        assert_eq!(Matrix::zeros(0, 0).finite_max_abs().map(f64::to_bits), Some(0));
     }
 
     #[test]

@@ -4,47 +4,131 @@
 //! hardware operators: `dot` is what a column of the Hestenes preprocessor's
 //! multiplier array computes, `axpy` is the body of a Householder update.
 
+/// Accumulator lanes of [`dot`]: lane `l` sums the products at positions
+/// `≡ l (mod 16)` of the 16-aligned prefix. As four 4-wide chains, each
+/// mirrors the 4-layer multiplier array of the paper's preprocessor, and
+/// running four side by side hides the FP add latency that a single chain
+/// serializes on, so long dots run at multiplier throughput instead.
+pub(crate) const DOT_LANES: usize = 16;
+
+/// The running state of one [`dot`]: its sixteen accumulator lanes.
+pub(crate) type DotAcc = [f64; DOT_LANES];
+
 /// Dot product `x·y`. Panics in debug builds on length mismatch.
+///
+/// The body is two steps: a resume over the 16-aligned prefix (sixteen
+/// accumulator lanes, four 4-wide chains) and a finish on the rest (4-row
+/// chunks into lanes 0–3, a scalar tail, a fixed fold).
+/// [`Matrix::gram`](crate::Matrix::gram) runs the same two steps panel by
+/// panel, so its entries carry these exact bits.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    // Sixteen-way unrolled accumulation as four independent 4-wide chains:
-    // each chain mirrors the 4-layer multiplier-array of the paper's
-    // preprocessor, and running four of them side by side hides the FP add
-    // latency that a single chain serializes on (one 4-wide vector add per
-    // ~4 cycles), so long dots run at multiplier throughput instead.
-    let n = x.len();
-    let (mut a0, mut a1, mut a2, mut a3) = ([0.0f64; 4], [0.0f64; 4], [0.0f64; 4], [0.0f64; 4]);
-    let wide = n / 16;
-    for k in 0..wide {
-        let b = k * 16;
-        let (x16, y16) = (&x[b..b + 16], &y[b..b + 16]);
-        for u in 0..4 {
-            a0[u] += x16[u] * y16[u];
-            a1[u] += x16[4 + u] * y16[4 + u];
-            a2[u] += x16[8 + u] * y16[8 + u];
-            a3[u] += x16[12 + u] * y16[12 + u];
+    let wide = x.len() / DOT_LANES * DOT_LANES;
+    let mut acc = [[[0.0; DOT_LANES]; 1]; 1];
+    dot_resume(&mut acc, [&x[..wide]], [&y[..wide]]);
+    dot_finish(&acc, [&x[wide..]], [&y[wide..]])[0][0]
+}
+
+/// Resume `R × C` dots (`R`, `C` ≤ 2) over one more 16-aligned stretch
+/// of rows: `acc[r][c]` continues `dot(xs[r], ys[c])`. Every lane adds its
+/// products in row order with a separate multiply and add (no FMA
+/// contraction, no re-association), so splitting a dot's prefix into
+/// consecutive stretches leaves its bits unchanged, and each `x`/`y` chunk
+/// loaded here feeds `C`/`R` products (the register tile of the blocked
+/// Gram build).
+///
+/// Every slice must have the same length, a multiple of [`DOT_LANES`].
+#[inline(always)]
+pub(crate) fn dot_resume<const R: usize, const C: usize>(
+    acc: &mut [[DotAcc; C]; R],
+    xs: [&[f64]; R],
+    ys: [&[f64]; C],
+) {
+    const { assert!(R >= 1 && R <= 2 && C >= 1 && C <= 2) };
+    debug_assert!(xs.iter().chain(&ys).all(|s| s.len() == xs[0].len()));
+    debug_assert_eq!(xs[0].len() % DOT_LANES, 0);
+    // Named accumulators (the `R − 1`/`C − 1` ones alias the first when a
+    // dimension is 1 and are neither updated nor written back) keep the
+    // whole tile in vector registers.
+    let (mut a00, mut a01, mut a10, mut a11) =
+        (acc[0][0], acc[0][C - 1], acc[R - 1][0], acc[R - 1][C - 1]);
+    let len = xs[0].len() / DOT_LANES * DOT_LANES;
+    let (x0, x1, y0, y1) = (&xs[0][..len], &xs[R - 1][..len], &ys[0][..len], &ys[C - 1][..len]);
+    for k in 0..len / DOT_LANES {
+        let b = k * DOT_LANES;
+        let (x0, y0) = (&x0[b..b + DOT_LANES], &y0[b..b + DOT_LANES]);
+        lanes_mul_add(&mut a00, x0, y0);
+        if C == 2 {
+            lanes_mul_add(&mut a01, x0, &y1[b..b + DOT_LANES]);
+        }
+        if R == 2 {
+            let x1 = &x1[b..b + DOT_LANES];
+            lanes_mul_add(&mut a10, x1, y0);
+            if C == 2 {
+                lanes_mul_add(&mut a11, x1, &y1[b..b + DOT_LANES]);
+            }
         }
     }
-    let chunks = n / 4;
-    for k in wide * 4..chunks {
-        let b = k * 4;
-        a0[0] += x[b] * y[b];
-        a0[1] += x[b + 1] * y[b + 1];
-        a0[2] += x[b + 2] * y[b + 2];
-        a0[3] += x[b + 3] * y[b + 3];
+    acc[0][0] = a00;
+    if C == 2 {
+        acc[0][1] = a01;
     }
-    let mut tail = 0.0;
-    for k in chunks * 4..n {
-        tail += x[k] * y[k];
+    if R == 2 {
+        acc[1][0] = a10;
+        if C == 2 {
+            acc[1][1] = a11;
+        }
     }
-    let acc = [
-        a0[0] + a1[0] + a2[0] + a3[0],
-        a0[1] + a1[1] + a2[1] + a3[1],
-        a0[2] + a1[2] + a2[2] + a3[2],
-        a0[3] + a1[3] + a2[3] + a3[3],
-    ];
-    acc[0] + acc[1] + acc[2] + acc[3] + tail
+}
+
+/// `a[l] += x[l] · y[l]` on every lane of one 16-element chunk.
+#[inline(always)]
+fn lanes_mul_add(a: &mut DotAcc, x: &[f64], y: &[f64]) {
+    let (x, y): (&DotAcc, &DotAcc) = (x.try_into().unwrap(), y.try_into().unwrap());
+    for l in 0..DOT_LANES {
+        a[l] += x[l] * y[l];
+    }
+}
+
+/// Finish `R × C` dots resumed over their 16-aligned prefix: `xs`/`ys`
+/// are the remaining (fewer than 16) elements. Whole 4-chunks go to lanes
+/// 0–3, the rest to a scalar tail; then each dot's lanes fold as four
+/// 4-wide chains.
+#[inline(always)]
+pub(crate) fn dot_finish<const R: usize, const C: usize>(
+    acc: &[[DotAcc; C]; R],
+    xs: [&[f64]; R],
+    ys: [&[f64]; C],
+) -> [[f64; C]; R] {
+    let k = xs[0].len();
+    debug_assert!(k < DOT_LANES && xs.iter().chain(&ys).all(|s| s.len() == k));
+    let (xs, ys) = (xs.map(|s| &s[..k]), ys.map(|s| &s[..k]));
+    let mut a = *acc;
+    let mut tail = [[0.0; C]; R];
+    for b in (0..k / 4 * 4).step_by(4) {
+        for (ar, x) in a.iter_mut().zip(xs) {
+            for (a, y) in ar.iter_mut().zip(ys) {
+                for u in 0..4 {
+                    a[u] += x[b + u] * y[b + u];
+                }
+            }
+        }
+    }
+    for t in k / 4 * 4..k {
+        for (tr, x) in tail.iter_mut().zip(xs) {
+            for (tail, y) in tr.iter_mut().zip(ys) {
+                *tail += x[t] * y[t];
+            }
+        }
+    }
+    std::array::from_fn(|r| {
+        std::array::from_fn(|c| {
+            let a = &a[r][c];
+            let fold: [f64; 4] = std::array::from_fn(|u| a[u] + a[4 + u] + a[8 + u] + a[12 + u]);
+            fold[0] + fold[1] + fold[2] + fold[3] + tail[r][c]
+        })
+    })
 }
 
 /// Squared Euclidean norm `‖x‖²`.
@@ -158,6 +242,33 @@ mod tests {
         let y: Vec<f64> = (0..13).map(|i| (i as f64).sin()).collect();
         let naive: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         assert!((dot(&x, &y) - naive).abs() < 1e-12);
+    }
+
+    /// The accumulation order `dot` keeps, written out as one scalar
+    /// loop: lane `k mod 16` over the 16-aligned prefix, 4-row chunks into
+    /// lanes 0–3, a scalar tail, then the fixed fold.
+    fn dot_reference(x: &[f64], y: &[f64]) -> f64 {
+        let (wide, quad) = (x.len() / 16 * 16, x.len() / 4 * 4);
+        let mut lanes = [0.0; 16];
+        for k in 0..quad {
+            lanes[if k < wide { k % 16 } else { k % 4 }] += x[k] * y[k];
+        }
+        let mut tail = 0.0;
+        for k in quad..x.len() {
+            tail += x[k] * y[k];
+        }
+        let fold: Vec<f64> =
+            (0..4).map(|u| lanes[u] + lanes[4 + u] + lanes[8 + u] + lanes[12 + u]).collect();
+        fold[0] + fold[1] + fold[2] + fold[3] + tail
+    }
+
+    #[test]
+    fn dot_is_bitwise_the_sixteen_lane_reference() {
+        for len in 0..80 {
+            let x: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+            let y: Vec<f64> = (0..len).map(|i| (i as f64 * 0.11).cos() - 0.4).collect();
+            assert_eq!(dot(&x, &y).to_bits(), dot_reference(&x, &y).to_bits(), "len {len}");
+        }
     }
 
     #[test]

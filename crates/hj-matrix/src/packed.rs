@@ -1,5 +1,12 @@
 use crate::Matrix;
 
+/// Offset of triangle row `i` of an `n × n` packed triangle: rows `0..i`
+/// before it hold `n + (n−1) + … + (n−i+1) = i·(2n − i + 1)/2` entries.
+#[inline]
+pub(crate) fn row_offset(n: usize, i: usize) -> usize {
+    i * (2 * n - i + 1) / 2
+}
+
 /// Upper triangle of a symmetric `n × n` matrix in packed storage.
 ///
 /// This is the covariance matrix `D` of the paper's Algorithm 1: `D[i][i]`
@@ -45,9 +52,7 @@ impl PackedSymmetric {
     #[inline]
     fn offset(&self, i: usize, j: usize) -> usize {
         debug_assert!(i <= j && j < self.n);
-        // Row i of the triangle starts after rows 0..i, which hold
-        // n + (n-1) + … + (n-i+1) = i*(2n - i + 1)/2 entries.
-        i * (2 * self.n - i + 1) / 2 + (j - i)
+        row_offset(self.n, i) + (j - i)
     }
 
     /// Offset of triangle row `i`'s first entry — the diagonal `(i, i)` — in
@@ -62,7 +67,7 @@ impl PackedSymmetric {
     #[inline]
     pub fn row_offset(&self, i: usize) -> usize {
         debug_assert!(i <= self.n);
-        i * (2 * self.n - i + 1) / 2
+        row_offset(self.n, i)
     }
 
     /// Read entry `(i, j)`; symmetric, so argument order is irrelevant.

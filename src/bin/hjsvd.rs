@@ -647,8 +647,13 @@ fn cmd_serve(p: &mut ParsedArgs) -> Result<(), CliError> {
     println!("listening on {local}");
     std::io::stdout().flush().ok();
     let stats = server.run().map_err(|e| CliError::io(e.to_string()))?;
-    println!("{}", stats.to_json());
-    Ok(())
+    // The drain has already succeeded; if whoever read the banner has since
+    // closed our stdout, the final stats line has no reader and that is not
+    // an error (println! would panic on the broken pipe).
+    match writeln!(std::io::stdout().lock(), "{}", stats.to_json()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(CliError::io(e.to_string())),
+        _ => Ok(()),
+    }
 }
 
 fn cmd_submit(p: &mut ParsedArgs) -> Result<(), CliError> {

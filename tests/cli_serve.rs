@@ -147,6 +147,22 @@ fn submit_batch_round_trip_matches_local_solves() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A server whose stdout reader has gone still drains and exits 0: the
+/// final stats line meets a broken pipe, which must not panic.
+#[test]
+fn serve_exits_cleanly_when_its_stdout_reader_is_gone() {
+    let (mut child, addr) = spawn_serve(&[]);
+    drop(child.stdout.take());
+
+    let down = hjsvd(&["shutdown", "--addr", &addr]);
+    assert!(down.status.success(), "shutdown failed: {}", stderr_of(&down));
+    let status = child.wait().expect("serve exit");
+    let mut stderr = String::new();
+    child.stderr.take().expect("stderr").read_to_string(&mut stderr).expect("read serve stderr");
+    assert!(status.success(), "serve exited with {status}; stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// A submission with an already-expired deadline comes back as exit code 8
 /// (`timeout` kind) through the spawned binary — the wire error code maps
 /// straight onto the CLI exit-code table.

@@ -15,13 +15,18 @@
 //!   equal to their references on every length and every pair, aligned or
 //!   not.
 //!
+//! * `Matrix::gram` (cache-blocked, register-tiled) and
+//!   `GramState::from_matrix` (its thread split) store, for every entry,
+//!   **bitwise** the `ops::dot(col i, col j)` of the per-entry build they
+//!   replaced, at any shape and any pool size.
+//!
 //! All strategies span twelve orders of magnitude in the norms (1e-6..1e6),
 //! like the scalar rotation proptests.
 
 use hjsvd::core::kernel::{batch_params, rotate_packed};
 use hjsvd::core::rotation::{hardware_params, textbook_params, Rotation};
 use hjsvd::core::{EngineKind, GramState, HestenesSvd, SvdOptions};
-use hjsvd::matrix::{gen, ops, PackedSymmetric};
+use hjsvd::matrix::{gen, ops, Matrix, PackedSymmetric};
 use proptest::prelude::*;
 
 /// A plausible (norm_i, norm_j, cov) triple satisfying Cauchy-Schwarz,
@@ -42,6 +47,24 @@ impl<S: Strategy> Strategy for VecOf<S> {
         (0..len).map(|_| self.0.generate(rng)).collect()
     }
 }
+
+/// The per-entry Gram build, as bits: one `ops::dot` per packed entry.
+fn gram_reference_bits(a: &Matrix) -> Vec<u64> {
+    let n = a.cols();
+    (0..n).flat_map(|i| (i..n).map(move |j| ops::dot(a.col(i), a.col(j)).to_bits())).collect()
+}
+
+fn bits(d: &PackedSymmetric) -> Vec<u64> {
+    d.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Row counts straddling every edge of the blocked Gram build: the dot's
+/// 16-row chunk and 4-row tail, the smallest register-tiled height (64),
+/// the 1024-row panel, and a tall input several panels deep.
+const GRAM_ROWS: [usize; 24] = [
+    0, 1, 3, 4, 15, 16, 17, 47, 63, 64, 65, 67, 68, 69, 83, 255, 1023, 1024, 1025, 1027, 1043,
+    2048, 2067, 3091,
+];
 
 /// Scalar reference for the packed rotation: the pre-kernel `get`/`set`
 /// loop over every affected entry of the packed triangle.
@@ -197,5 +220,46 @@ proptest! {
         prop_assert_eq!(seq.u.as_slice(), par.u.as_slice());
         prop_assert_eq!(seq.v.as_slice(), par.v.as_slice());
         prop_assert_eq!(par.stats.parallel_dispatches, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn blocked_gram_is_bitwise_per_entry_dot(
+        pick in 0usize..GRAM_ROWS.len(),
+        n in 1usize..34,
+        seed in 0u64..1000,
+    ) {
+        // n up to 33 cuts the triangle into several row tiles with odd
+        // (1-wide) register-tile edges.
+        let a = gen::uniform(GRAM_ROWS[pick], n, seed);
+        prop_assert_eq!(bits(&a.gram()), gram_reference_bits(&a), "{}x{}", a.rows(), n);
+    }
+}
+
+/// Past 256 columns a tile pair no longer spans a whole triangle row, so
+/// the column tiles split it; every entry keeps its per-entry bits.
+#[test]
+fn blocked_gram_crosses_column_tiles_bitwise() {
+    for (m, n) in [(65, 513), (1041, 300)] {
+        let a = gen::uniform(m, n, (m * n) as u64);
+        assert_eq!(bits(&a.gram()), gram_reference_bits(&a), "{m}x{n}");
+    }
+}
+
+/// `GramState::from_matrix` (the build every solve path uses) must store
+/// the per-entry dot's bits whatever pool it runs in.
+#[test]
+fn gram_state_is_bitwise_in_pools_of_1_and_4_threads() {
+    for (m, n) in [(1100, 48), (4101, 37), (300, 96)] {
+        let a = gen::uniform(m, n, (m + n) as u64);
+        let want = gram_reference_bits(&a);
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let g = pool.install(|| GramState::from_matrix(&a));
+            assert_eq!(bits(g.packed()), want, "{m}x{n} at {threads} threads");
+        }
     }
 }
