@@ -25,7 +25,7 @@
 //! | `motivation_partial` | §I repeated-partial-SVD workload |
 //! | `scaling_ae` | extension — multi-FPGA scaling projection |
 //! | `energy` | extension — energy per decomposition |
-//! | `sweep_report` | per-sweep engine comparison with the trace layer on; writes `BENCH_sweep.json` and cross-checks trace vs stats |
+//! | `sweep_report` | per-sweep ordering comparison with the trace layer on; writes `BENCH_sweep.json` and cross-checks trace vs stats |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -75,8 +75,9 @@ impl GramState {
         &self.d
     }
 
-    /// Mutable borrow of the underlying packed matrix — for the blocked
-    /// engine's tiled write-back, which updates `D` entries in place.
+    /// Mutable borrow of the underlying packed matrix — for the
+    /// fault-injection harness, which corrupts `D` entries in place.
+    #[cfg(feature = "fault-injection")]
     #[inline]
     pub(crate) fn packed_mut(&mut self) -> &mut PackedSymmetric {
         &mut self.d
@@ -85,17 +86,6 @@ impl GramState {
     /// Consume into the underlying packed matrix.
     pub fn into_packed(self) -> PackedSymmetric {
         self.d
-    }
-
-    /// O(1)-swap the maintained `D` with `buf` — the publish step of the
-    /// double-buffered parallel round update ([`crate::parallel`]). `buf`
-    /// must hold a same-dimension triangle (the new `D` after the round).
-    ///
-    /// # Panics
-    /// Panics on a dimension mismatch.
-    pub fn swap_packed(&mut self, buf: &mut PackedSymmetric) {
-        assert_eq!(self.d.dim(), buf.dim(), "swap_packed: dimension mismatch");
-        self.d.swap(buf);
     }
 
     /// Apply the plane rotation `rot` of column pair `(i, j)` to `D`
@@ -151,7 +141,7 @@ impl GramState {
     /// what the per-sweep health check needs: finiteness, the smallest entry
     /// (and where), and the largest magnitude. Unlike
     /// [`PackedSymmetric::diagonal`], this copies nothing — it is safe to
-    /// call every sweep without breaking the engines' steady-state
+    /// call every sweep without breaking the sweeps' steady-state
     /// zero-allocation invariant.
     pub fn diagonal_scan(&self) -> DiagonalScan {
         let mut scan = DiagonalScan { finite: true, min: f64::INFINITY, argmin: 0, max_abs: 0.0 };

@@ -1,22 +1,19 @@
 //! Vectorization-friendly inner kernels — the software mirror of the
 //! paper's concurrent-dataflow units (Fig. 4).
 //!
-//! Every hot loop of the three sweep engines routes through this module.
-//! Before it existed, the engines walked the packed covariance triangle
-//! through [`PackedSymmetric::get`]/[`set`](PackedSymmetric::set) — a
-//! branch (argument swap), a multiply (row-offset polynomial), and a bounds
-//! check *per element*, which kept LLVM from vectorizing anything and made
-//! the cache-tiled engine slower than the sequential one (the ROADMAP item-1
-//! inversion). The kernels here replace that with slice traversals:
+//! Every hot loop of the sweep engine and the SoA batch engine routes
+//! through this module. Before it existed, the sweeps walked the packed
+//! covariance triangle through
+//! [`PackedSymmetric::get`]/[`set`](PackedSymmetric::set) — a branch
+//! (argument swap), a multiply (row-offset polynomial), and a bounds check
+//! *per element*, which kept LLVM from vectorizing anything. The kernels
+//! here replace that with slice traversals:
 //!
 //! * [`rotate_packed`] — the `O(n)` in-place Gram rotation of Algorithm 1
 //!   lines 15–26, decomposed into the triangle's three natural regions so
 //!   the dominant region runs on two contiguous slices (autovectorized via
 //!   [`ops::rotate_pair`]) and the strided regions walk incrementally with
 //!   no per-element offset math.
-//! * [`gather_column`] / [`scatter_column`] — the blocked engine's tile
-//!   staging: a logical column of `D` moved to/from a dense slice, with the
-//!   `k ≥ c` majority as a single `memcpy`.
 //! * [`batch_params`] — rotation parameters for a whole round-robin pair
 //!   group at once, structure-of-arrays in (`D_ii`, `D_jj`, `D_ij` lanes)
 //!   and SoA out (`cos`, `sin`, `t` lanes), mirroring the independent
@@ -142,47 +139,6 @@ pub fn rotate_packed(d: &mut PackedSymmetric, i: usize, j: usize, rot: &Rotation
     }
 }
 
-/// Copy logical column `c` of the packed triangle (`out[k] = D[k][c]` for
-/// all `k`) into a dense slice — the blocked engine's tile staging read.
-///
-/// The `k < c` head is the strided walk described on
-/// [`PackedSymmetric::row_offset`]; the `k ≥ c` tail is row `c` itself,
-/// copied with one `memcpy`.
-///
-/// # Panics
-/// Panics if `out.len() != n` or `c ≥ n` (debug: explicit asserts; release:
-/// slice bounds).
-pub fn gather_column(d: &PackedSymmetric, c: usize, out: &mut [f64]) {
-    let n = d.dim();
-    debug_assert!(c < n);
-    debug_assert_eq!(out.len(), n);
-    let data = d.as_slice();
-    let mut o = c;
-    for (k, slot) in out[..c].iter_mut().enumerate() {
-        *slot = data[o];
-        o += n - k - 1;
-    }
-    let rc = d.row_offset(c);
-    out[c..n].copy_from_slice(&data[rc..rc + (n - c)]);
-}
-
-/// Write a dense slice back as logical column `c` of the packed triangle
-/// (`D[k][c] = src[k]` for all `k`) — the blocked engine's tile write-back.
-/// Mirror image of [`gather_column`].
-pub fn scatter_column(d: &mut PackedSymmetric, c: usize, src: &[f64]) {
-    let n = d.dim();
-    debug_assert!(c < n);
-    debug_assert_eq!(src.len(), n);
-    let rc = d.row_offset(c);
-    let data = d.as_mut_slice();
-    let mut o = c;
-    for (k, &v) in src[..c].iter().enumerate() {
-        data[o] = v;
-        o += n - k - 1;
-    }
-    data[rc..rc + (n - c)].copy_from_slice(&src[c..n]);
-}
-
 /// Rotation parameters for a whole pair group at once, SoA in / SoA out.
 ///
 /// `norms_i[k]`, `norms_j[k]`, `covs[k]` are the `(D_ii, D_jj, D_ij)` of the
@@ -190,10 +146,10 @@ pub fn scatter_column(d: &mut PackedSymmetric, c: usize, src: &[f64]) {
 /// Each lane runs exactly the [`crate::rotation::textbook_params`] chain
 /// (including its `cov == 0 → identity` case and `sign(0) = +1`
 /// convention), so the batched output is bit-identical to calling the
-/// scalar kernel per pair — the bit-compat policy above. The SoA shape is
-/// what lets the round planner compute a whole round-robin group's
-/// parameters in one straight-line loop, the software analogue of the
-/// paper's concurrently-scheduled parameter units.
+/// scalar kernel per pair — the bit-compat policy above. The SoA shape
+/// computes a whole round-robin group's parameters in one straight-line
+/// loop, the software analogue of the paper's concurrently-scheduled
+/// parameter units.
 ///
 /// # Panics
 /// Panics in debug builds if the six slices disagree on length.
@@ -589,23 +545,6 @@ mod tests {
         rotate_packed(&mut a, 1, 4, &rot);
         rotate_packed(&mut b, 4, 1, &rot);
         assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn gather_scatter_round_trip_every_column() {
-        for n in [1usize, 2, 4, 7, 12] {
-            let d = packed_from_seed(n, 100 + n as u64);
-            for c in 0..n {
-                let mut col = vec![0.0; n];
-                gather_column(&d, c, &mut col);
-                for (k, &v) in col.iter().enumerate() {
-                    assert_eq!(v, d.get(k, c), "n={n} col {c} row {k}");
-                }
-                let mut back = d.clone();
-                scatter_column(&mut back, c, &col);
-                assert_eq!(back.as_slice(), d.as_slice(), "n={n} col {c}");
-            }
-        }
     }
 
     #[test]

@@ -14,28 +14,24 @@
 //!   `ρ→t→cos→sin` chain and the paper's flattened eqs. (8)–(10).
 //! * [`gram`] — the maintained covariance matrix and its O(n) rotation
 //!   update (the Update operator's covariance path).
-//! * [`kernel`] — the vectorization-friendly inner kernels every engine's
-//!   hot loop runs on: the three-region packed rotation, tile
-//!   gather/scatter, and SoA-batched rotation parameters (bit-identical to
-//!   the scalar paths; see the module's bit-compat policy).
+//! * [`kernel`] — the vectorization-friendly inner kernels the hot loops
+//!   run on: the three-region packed rotation and SoA-batched rotation
+//!   parameters (bit-identical to the scalar paths; see the module's
+//!   bit-compat policy).
 //! * [`ordering`] — the pluggable sweep-schedule subsystem: the
 //!   [`ordering::OrderingStrategy`] trait planning each sweep's rounds of
 //!   disjoint pairs, the cyclic round-robin pairing (the paper's Fig. 6),
 //!   the row-cyclic order of the pseudocode, the adaptive sorted-greedy
 //!   planner, the de Rijk column-norm presort, and the
 //!   [`ordering::ThresholdSchedule`] rotation-threshold ramp composable
-//!   with any ordering.
+//!   with any ordering; plus the [`SweepWorkspace`] that pools their plan
+//!   buffers across solves.
 //! * [`engine`] — the unified sweep pipeline: the [`engine::SweepEngine`]
 //!   trait, the [`engine::RotationTarget`] / [`engine::PairGuard`]
-//!   abstractions, the [`engine::Sequential`] and cache-tiled
-//!   [`engine::Blocked`] engines, and the single [`engine::SolveDriver`]
-//!   loop every solver runs on.
-//! * [`sweep`] — sequential single-sweep entry points (gram-only and full),
-//!   thin wrappers over the [`engine::Sequential`] engine.
-//! * [`parallel`] — the round-synchronous rayon engine
-//!   ([`parallel::Parallel`]) exploiting the same disjoint-pair structure
-//!   the hardware's parallel groups use, built on a reusable
-//!   zero-allocation [`parallel::SweepWorkspace`].
+//!   abstractions, the in-place [`engine::Sequential`] engine (the only
+//!   one), and the single [`engine::SolveDriver`] loop every solver runs on.
+//! * [`sweep`] — single-sweep entry points (gram-only and full), thin
+//!   wrappers over the [`engine::Sequential`] engine.
 //! * [`batch`] — batched drivers ([`HestenesSvd::decompose_batch`]) fanning
 //!   independent solves across the pool with per-solve error isolation and
 //!   a shared [`batch::WorkspacePool`] of warm scratch.
@@ -55,7 +51,7 @@
 //!   (the paper's Figs. 10–11 metric).
 //! * [`recovery`] — the fault-tolerance layer: [`recovery::Fault`]
 //!   taxonomy, per-sweep [`recovery::HealthCheck`], the
-//!   [`recovery::RecoveryPolicy`] lattice (rescale / engine fallback /
+//!   [`recovery::RecoveryPolicy`] lattice (rescale / ordering fallback /
 //!   budget escalation / abort), and [`recovery::SolveBudget`]
 //!   deadline/cancellation.
 //! * `inject` *(feature `fault-injection` only)* — deterministic
@@ -95,7 +91,6 @@ pub mod inject;
 pub mod kernel;
 pub mod lowrank;
 pub mod ordering;
-pub mod parallel;
 pub mod pca;
 pub mod recovery;
 pub mod rotation;
@@ -108,17 +103,16 @@ pub use batch::WorkspacePool;
 pub use batch_engine::{BatchDriver, BatchWorkspace};
 pub use convergence::{Convergence, SweepRecord};
 pub use engine::{
-    EngineKind, MonitoredRun, PairGuard, RotationTarget, SolveDriver, SolveMonitor, SweepEngine,
-    SweepState,
+    MonitoredRun, PairGuard, RotationTarget, SolveDriver, SolveMonitor, SweepEngine, SweepState,
 };
 pub use error::SvdError;
 pub use gram::{DiagonalScan, GramState};
 #[cfg(feature = "fault-injection")]
 pub use inject::{Corruption, FaultInjector, SeededInjector};
 pub use ordering::{
-    Ordering, OrderingKind, OrderingStrategy, PlanBuffers, SweepSchedule, ThresholdSchedule,
+    Ordering, OrderingKind, OrderingStrategy, PlanBuffers, SweepSchedule, SweepWorkspace,
+    ThresholdSchedule,
 };
-pub use parallel::SweepWorkspace;
 pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, RecoveryAction, RecoveryPolicy, SolveBudget};
 pub use rotation::{hardware_params, textbook_params, Rotation};

@@ -11,8 +11,9 @@
 //! * **Parallelism** — the round-robin ("caterpillar"/Brent-Luk) cyclic order
 //!   arranges each sweep into `rounds` of **pairwise-disjoint** pairs, which
 //!   is exactly what lets the paper's hardware (Fig. 6) issue groups of
-//!   rotations concurrently, and what lets our [`crate::parallel`] driver
-//!   apply a whole round with rayon.
+//!   rotations concurrently. The software engine visits the pairs one at a
+//!   time; the GPU baseline model (`hj-baselines::gpu_model`) charges one
+//!   barrier per round.
 //!
 //! The subsystem has three layers:
 //!
@@ -116,7 +117,7 @@ impl Sweep {
 pub enum Ordering {
     /// Round-robin (tournament) cyclic order: `n−1` rounds of `⌊n/2⌋`
     /// disjoint pairs — the paper's Fig. 6 order and the library default.
-    /// Provably convergent; legal on every engine.
+    /// Provably convergent.
     #[default]
     RoundRobin,
     /// Row-cyclic order: `(0,1), (0,2), …, (0,n−1), (1,2), …` — the literal
@@ -303,8 +304,8 @@ fn fill_row_cyclic(n: usize, out: &mut Sweep, spare: &mut Vec<Vec<(usize, usize)
 /// is allocation-free once warm.
 ///
 /// Every produced plan must keep the pairs of each round pairwise disjoint
-/// and visit each unordered pair at most once — the invariant the parallel
-/// and blocked engines (and the hardware they model) rely on.
+/// and visit each unordered pair at most once — the invariant the paper's
+/// hardware (and the GPU baseline model's per-round barriers) rely on.
 pub trait OrderingStrategy {
     /// Which [`Ordering`] this strategy implements.
     fn kind(&self) -> Ordering;
@@ -356,7 +357,7 @@ impl OrderingStrategy for Cyclic {
 }
 
 /// The row-cyclic order of Algorithm 1's literal loop nest, planned once per
-/// dimension. Sequential engines only (rounds of one pair).
+/// dimension (rounds of one pair).
 #[derive(Debug, Default)]
 pub struct RowCyclic {
     planned_dim: Option<usize>,
@@ -587,7 +588,7 @@ pub struct SweepSchedule<'a> {
 }
 
 /// One instance of every strategy plus a dedicated plan buffer per strategy,
-/// pooled inside [`crate::parallel::SweepWorkspace`] so repeated solves
+/// pooled inside a [`SweepWorkspace`] so repeated solves
 /// replan without reallocating. Each strategy gets its *own* plan buffer —
 /// a shared one would invalidate the once-per-dimension caches whenever the
 /// selected ordering changes between solves.
@@ -618,6 +619,49 @@ impl PlanBuffers {
             Ordering::SortedGreedy => (&mut self.greedy, &mut self.plan_greedy),
             Ordering::ColumnNormPresort => (&mut self.presort, &mut self.plan_presort),
         }
+    }
+}
+
+/// Reusable per-solve scratch for [`crate::HestenesSvd`]'s
+/// `*_with_workspace` entry points: the pooled [`PlanBuffers`], so a warm
+/// workspace replans every later solve — of any shape — without
+/// reallocating. The sweeps themselves rotate in place and need no scratch.
+/// Results are bit-identical with a fresh or a reused workspace.
+///
+/// ```
+/// use hj_core::{HestenesSvd, SvdOptions, SweepWorkspace};
+/// use hj_matrix::gen;
+///
+/// let solver = HestenesSvd::new(SvdOptions::default());
+/// let mut ws = SweepWorkspace::new(); // plan buffers sized by the first solve
+/// let a = gen::uniform(30, 12, 17);
+/// let warm = solver.singular_values_with_workspace(&a, &mut ws).unwrap();
+/// let again = solver.singular_values_with_workspace(&a, &mut ws).unwrap();
+/// assert_eq!(warm.values, again.values);
+/// ```
+#[derive(Debug, Default)]
+pub struct SweepWorkspace {
+    /// The pooled strategies and plan buffers (`None` while a solve has
+    /// them checked out).
+    plan: Option<Box<PlanBuffers>>,
+}
+
+impl SweepWorkspace {
+    /// Create an empty workspace; buffers are sized on first use.
+    pub fn new() -> Self {
+        SweepWorkspace::default()
+    }
+
+    /// Check out the pooled ordering scratch (fresh buffers the first time;
+    /// the warmed pool on every later solve). Pair with
+    /// [`SweepWorkspace::put_plan_buffers`].
+    pub(crate) fn take_plan_buffers(&mut self) -> Box<PlanBuffers> {
+        self.plan.take().unwrap_or_default()
+    }
+
+    /// Return checked-out ordering scratch to the pool for the next solve.
+    pub(crate) fn put_plan_buffers(&mut self, buffers: Box<PlanBuffers>) {
+        self.plan = Some(buffers);
     }
 }
 

@@ -13,7 +13,7 @@
 //!
 //! | type | name | body |
 //! |------|------|------|
-//! | 1 | submit | `u8` priority, `u8` engine, `u8` ordering ([`hj_core::OrderingKind::index`]), `u64` deadline_ms ([`NO_DEADLINE`] = none), `u16` tenant length + tenant bytes (UTF-8), then an [`hj_matrix::wire`] matrix frame |
+//! | 1 | submit | `u8` priority, `u8` engine ([`ENGINE_SEQUENTIAL`]), `u8` ordering ([`hj_core::OrderingKind::index`]), `u64` deadline_ms ([`NO_DEADLINE`] = none), `u16` tenant length + tenant bytes (UTF-8), then an [`hj_matrix::wire`] matrix frame |
 //! | 2 | result | `u64` job id, `u32` sweeps, `u32` n, then n × `f64::to_bits` LE values |
 //! | 3 | error | `u8` code, `u16` kind length + kind bytes, `u16` message length + message bytes |
 //! | 4 | stats request | empty |
@@ -43,6 +43,12 @@ pub const PROTOCOL_VERSION: u8 = 3;
 /// Sentinel `deadline_ms` meaning "no deadline".
 pub const NO_DEADLINE: u64 = u64::MAX;
 
+/// The only engine byte a submit frame may carry: the sequential sweep
+/// engine. The byte stays in the frame layout so the wire format is
+/// unchanged; the server answers any other value with a structured
+/// `bad-engine` error.
+pub const ENGINE_SEQUENTIAL: u8 = 0;
+
 /// Hard ceiling on a frame's payload length (256 MiB): a corrupt length
 /// prefix cannot make a peer attempt an unbounded allocation.
 pub const MAX_FRAME_BYTES: u32 = 1 << 28;
@@ -54,7 +60,7 @@ pub enum Frame {
     Submit {
         /// Priority class byte ([`crate::Priority::index`]).
         priority: u8,
-        /// Engine byte (0 sequential, 1 parallel, 2 blocked).
+        /// Engine byte; must be [`ENGINE_SEQUENTIAL`].
         engine: u8,
         /// Ordering byte ([`hj_core::OrderingKind::index`]: 0 cyclic,
         /// 1 row-cyclic, 2 greedy, 3 presort).
@@ -103,7 +109,7 @@ pub enum Frame {
     SubmitBatch {
         /// Priority class byte ([`crate::Priority::index`]).
         priority: u8,
-        /// Engine byte (0 sequential, 1 parallel, 2 blocked).
+        /// Engine byte; must be [`ENGINE_SEQUENTIAL`].
         engine: u8,
         /// Ordering byte ([`hj_core::OrderingKind::index`]).
         ordering: u8,

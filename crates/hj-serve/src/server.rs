@@ -11,10 +11,10 @@
 //! problems.
 
 use crate::job::{JobSpec, Priority, RejectReason};
-use crate::protocol::{BatchItem, Frame, ProtoError, NO_DEADLINE};
+use crate::protocol::{BatchItem, Frame, ProtoError, ENGINE_SEQUENTIAL, NO_DEADLINE};
 use crate::service::{ServiceConfig, SolveService};
 use crate::stats::ServiceStats;
-use hj_core::{EngineKind, OrderingKind, SvdError};
+use hj_core::{OrderingKind, SvdError};
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -189,18 +189,13 @@ fn decode_spec(
             message: format!("unknown priority byte {priority}"),
         });
     };
-    let engine = match engine {
-        0 => EngineKind::Sequential,
-        1 => EngineKind::Parallel,
-        2 => EngineKind::Blocked,
-        b => {
-            return Err(Frame::Error {
-                code: CODE_BAD_REQUEST,
-                kind: "bad-engine".to_string(),
-                message: format!("unknown engine byte {b}"),
-            })
-        }
-    };
+    if engine != ENGINE_SEQUENTIAL {
+        return Err(Frame::Error {
+            code: CODE_BAD_REQUEST,
+            kind: "bad-engine".to_string(),
+            message: format!("unknown engine byte {engine}"),
+        });
+    }
     let Some(ordering) = OrderingKind::from_index(ordering as usize) else {
         return Err(Frame::Error {
             code: CODE_BAD_REQUEST,
@@ -208,7 +203,7 @@ fn decode_spec(
             message: format!("unknown ordering byte {ordering}"),
         });
     };
-    let mut spec = spec.engine(engine).ordering(ordering).priority(priority).tenant(tenant);
+    let mut spec = spec.ordering(ordering).priority(priority).tenant(tenant);
     if deadline_ms != NO_DEADLINE {
         let now = Instant::now();
         spec.deadline = Some(now.checked_add(Duration::from_millis(deadline_ms)).unwrap_or(now));
@@ -322,7 +317,6 @@ pub fn error_kind(err: &SvdError) -> &'static str {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
         SvdError::NonFiniteInput => "non-finite-input",
-        SvdError::EngineNeedsRoundRobin => "engine-needs-round-robin",
         SvdError::OrderingUnsupported { .. } => "ordering-unsupported",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",
@@ -385,24 +379,6 @@ mod tests {
         for (x, y) in outcome.values.iter().zip(direct.values.iter()) {
             assert_eq!(x.to_bits(), y.to_bits(), "greedy wire spectrum must be bit-identical");
         }
-        // Row-cyclic on a grouped engine surfaces the structured config error.
-        let err = client
-            .submit(
-                &a,
-                SubmitOptions {
-                    ordering: OrderingKind::RowCyclic,
-                    engine: EngineKind::Blocked,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
-        match err {
-            ClientError::Remote { code, kind, .. } => {
-                assert_eq!(code, CODE_BAD_REQUEST);
-                assert_eq!(kind, "engine-needs-round-robin");
-            }
-            other => panic!("expected remote error, got {other:?}"),
-        }
         // An out-of-range ordering byte is rejected before admission.
         let raw = Frame::Submit {
             priority: 0,
@@ -422,6 +398,65 @@ mod tests {
         }
         client.shutdown(Duration::from_secs(5)).unwrap();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn retired_engine_bytes_get_bad_engine_and_the_connection_survives() {
+        // Bytes 1 and 2 once selected the parallel and blocked engines. The
+        // frame layout keeps the byte, but only 0 is accepted now; a refused
+        // frame must not cost the client its connection.
+        let (handle, addr) = spawn_server(ServiceConfig::default());
+        let a = gen::uniform(20, 6, 23);
+        let direct =
+            hj_core::HestenesSvd::new(hj_core::SvdOptions::default()).singular_values(&a).unwrap();
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut reader = stream.try_clone().unwrap();
+        let mut writer = BufWriter::new(stream);
+        let mut send = |frame: Frame| {
+            frame.write_to(&mut writer).unwrap();
+            Frame::read_from(&mut reader).unwrap()
+        };
+        let submit = |engine: u8| Frame::Submit {
+            priority: 0,
+            engine,
+            ordering: 0,
+            deadline_ms: NO_DEADLINE,
+            tenant: String::new(),
+            matrix: a.clone(),
+        };
+        for engine in [1u8, 2, 255] {
+            match send(submit(engine)) {
+                Frame::Error { code, kind, message } => {
+                    assert_eq!(code, CODE_BAD_REQUEST);
+                    assert_eq!(kind, "bad-engine");
+                    assert!(message.contains(&engine.to_string()), "{message}");
+                }
+                other => panic!("engine byte {engine}: expected bad-engine, got {other:?}"),
+            }
+        }
+        let batch = Frame::SubmitBatch {
+            priority: 0,
+            engine: 1,
+            ordering: 0,
+            deadline_ms: NO_DEADLINE,
+            tenant: String::new(),
+            matrices: vec![a.clone(), a.clone()],
+        };
+        match send(batch) {
+            Frame::Error { kind, .. } => assert_eq!(kind, "bad-engine"),
+            other => panic!("batch engine byte 1: expected bad-engine, got {other:?}"),
+        }
+        // Same connection, engine byte 0: solved, bit-identical to local.
+        match send(submit(ENGINE_SEQUENTIAL)) {
+            Frame::Result { values, .. } => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&values), bits(&direct.values));
+            }
+            other => panic!("engine byte 0 after refusals: expected result, got {other:?}"),
+        }
+        Client::connect(addr).unwrap().shutdown(Duration::from_secs(5)).unwrap();
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.completed, 1, "refused frames never reach the queue");
     }
 
     /// Send one raw frame and read the single reply (bypasses the typed

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
-//!           [--engine seq|par|blocked] [--ordering cyclic|row|greedy|presort]
-//!           [--threshold-schedule] [--timeout-ms T]
-//!           [--trace PATH] [--trace-level off|sweep|group|rotation]
-//! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--engine ...] [--ordering ...]
+//!           [--ordering cyclic|row|greedy|presort] [--threshold-schedule]
+//!           [--timeout-ms T] [--trace PATH] [--trace-level off|sweep|group|rotation]
+//! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--ordering ...]
 //! hjsvd pca <data.csv> --components K [--out PREFIX]
 //! hjsvd eigh <symmetric.csv>
 //! hjsvd simulate --rows M --cols N [--sweeps S]
@@ -13,7 +12,7 @@
 //! hjsvd generate --rows M --cols N <out.csv> [--seed S] [--cond C]
 //! hjsvd serve --addr HOST:PORT [--workers N] [--queue-cap N] [--tenant-cap N]
 //! hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
-//!             [--priority interactive|batch] [--engine seq|par|blocked]
+//!             [--priority interactive|batch]
 //!             [--ordering cyclic|row|greedy|presort] [--tenant NAME]
 //! hjsvd submit-batch <dir-or-csv-list> --addr HOST:PORT [--tenant NAME]
 //!                    [--deadline-ms T]
@@ -50,7 +49,7 @@
 
 use hjsvd::arch::{resource_usage, ArchConfig, HestenesJacobiArch};
 use hjsvd::core::{
-    eigh, EngineKind, HestenesSvd, JsonlSink, Ordering, Pca, SolveBudget, SvdError, SvdOptions,
+    eigh, HestenesSvd, JsonlSink, Ordering, Pca, SolveBudget, SvdError, SvdOptions,
     ThresholdSchedule, TraceLevel,
 };
 use hjsvd::fpsim::resources::ChipCapacity;
@@ -85,9 +84,7 @@ impl From<SvdError> for CliError {
     fn from(e: SvdError) -> CliError {
         let (code, kind) = match &e {
             SvdError::EmptyInput | SvdError::NonFiniteInput => (4, "bad-input"),
-            SvdError::EngineNeedsRoundRobin
-            | SvdError::OrderingUnsupported { .. }
-            | SvdError::ZeroSweepBudget => (5, "bad-config"),
+            SvdError::OrderingUnsupported { .. } | SvdError::ZeroSweepBudget => (5, "bad-config"),
             SvdError::TruncatedTailNotNegligible => (6, "not-converged"),
             SvdError::SolveFault { fault, .. } => match fault.kind() {
                 "deadline" => (8, "timeout"),
@@ -137,33 +134,29 @@ fn print_help() {
 
 USAGE:
   hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
-            [--engine seq|par|blocked] [--ordering cyclic|row|greedy|presort]
-            [--threshold-schedule] [--timeout-ms T]
-            [--trace PATH] [--trace-level off|sweep|group|rotation]
+            [--ordering cyclic|row|greedy|presort] [--threshold-schedule]
+            [--timeout-ms T] [--trace PATH] [--trace-level off|sweep|group|rotation]
       Decompose a CSV matrix. Prints singular values; with --out, writes
       PREFIX_u.csv / PREFIX_s.csv / PREFIX_v.csv. --rank truncates.
       --stats writes the solve's SolveStats record as JSON (PATH of '-'
-      prints it to stdout). --engine picks the sweep engine: seq
-      (Algorithm 1, default), par (rayon round-synchronous), or blocked
-      (cache-tiled groups). --ordering picks the sweep pair schedule:
-      cyclic (round-robin, default), row (row-cyclic, seq only), greedy
-      (largest off-diagonal pairs first, replanned every sweep), or
-      presort (de Rijk descending-column-norm permutation up front).
+      prints it to stdout). --ordering picks the sweep pair schedule:
+      cyclic (round-robin, default), row (row-cyclic), greedy (largest
+      off-diagonal pairs first, replanned every sweep), or presort (de
+      Rijk descending-column-norm permutation up front).
       --threshold-schedule ramps the early-sweep rotation threshold down
       to the convergence tolerance, skipping negligible pairs early.
       --timeout-ms bounds wall-clock time: the solve
       aborts at the next sweep boundary past the deadline (exit code 8).
       --trace streams structured solve events as JSON Lines to PATH ('-'
       = stdout); --trace-level picks the verbosity (default sweep:
-      per-sweep summaries; group adds pair-group dispatches; rotation
-      adds every applied/skipped rotation).
+      per-sweep summaries; group adds each sweep's plan; rotation adds
+      every applied/skipped rotation).
   hjsvd svd --batch <dir-or-csv-list> [--stats PATH]
-            [--engine seq|par|blocked] [--ordering cyclic|row|greedy|presort]
-            [--threshold-schedule]
+            [--ordering cyclic|row|greedy|presort] [--threshold-schedule]
       Decompose a whole set of matrices in one batch solve (values only).
       The input names a directory (every *.csv inside, sorted) or a
       comma-separated list of CSV paths. Uniform batches of small problems
-      (n <= 32, default engine/ordering) run on the batched SoA engine;
+      (n <= 32, default ordering) run on the batched SoA engine;
       everything else takes the looped per-matrix path. Slots succeed and
       fail independently; --stats writes one SolveStats JSON record per
       successful problem, in slot order, as JSON Lines ('-' = stdout).
@@ -187,7 +180,7 @@ USAGE:
       the worker pool, --queue-cap bounds the admission queue,
       --tenant-cap limits per-tenant in-flight jobs (0 = unlimited).
   hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
-              [--priority interactive|batch] [--engine seq|par|blocked]
+              [--priority interactive|batch]
               [--ordering cyclic|row|greedy|presort] [--tenant NAME]
       Submit a matrix to a running server and print the singular values
       (bit-identical to a local 'svd --values-only' run). --deadline-ms
@@ -335,16 +328,6 @@ fn close_trace(sink: JsonlSink<Box<dyn Write>>, path: &str) -> Result<(), CliErr
     w.flush().map_err(|e| CliError::io(format!("{path}: {e}")))
 }
 
-/// Parse the `--engine` option into an [`EngineKind`] (default: sequential).
-fn engine_option(p: &ParsedArgs) -> Result<EngineKind, CliError> {
-    match p.opt("engine") {
-        None => Ok(EngineKind::default()),
-        Some(v) => EngineKind::parse(v).ok_or_else(|| {
-            CliError::usage(format!("--engine: unknown engine '{v}' (choose seq, par, or blocked)"))
-        }),
-    }
-}
-
 /// Parse the `--ordering` option into an [`Ordering`] (default: cyclic).
 fn ordering_option(p: &ParsedArgs) -> Result<Ordering, CliError> {
     match p.opt("ordering") {
@@ -391,10 +374,9 @@ fn cmd_svd_batch(p: &mut ParsedArgs) -> Result<(), CliError> {
         .positional(0, "batch input (directory or comma-separated CSV list)")
         .map_err(CliError::usage)?
         .to_string();
-    let engine = engine_option(p)?;
     let ordering = ordering_option(p)?;
     let threshold = p.flag("threshold-schedule").then(ThresholdSchedule::default);
-    let solver = HestenesSvd::new(SvdOptions { engine, ordering, threshold, ..Default::default() });
+    let solver = HestenesSvd::new(SvdOptions { ordering, threshold, ..Default::default() });
     let inputs = load_batch(&spec)?;
     let mats: Vec<Matrix> = inputs.iter().map(|(_, m)| m.clone()).collect();
     let batch = solver.singular_values_batch(&mats);
@@ -438,14 +420,12 @@ fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
     }
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let a = load(&path)?;
-    let engine = engine_option(p)?;
     let ordering = ordering_option(p)?;
     let threshold = p.flag("threshold-schedule").then(ThresholdSchedule::default);
     let timeout_ms: Option<u64> = p.opt_parse("timeout-ms").map_err(CliError::usage)?;
     let trace = trace_option(p)?;
     let trace_level = trace.as_ref().map(|(_, l)| *l).unwrap_or(TraceLevel::Off);
     let mut solver = HestenesSvd::new(SvdOptions {
-        engine,
         ordering,
         threshold,
         trace: trace_level,
@@ -660,7 +640,6 @@ fn cmd_submit(p: &mut ParsedArgs) -> Result<(), CliError> {
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let addr = p.opt("addr").ok_or_else(|| CliError::usage("--addr is required"))?.to_string();
     let a = load(&path)?;
-    let engine = engine_option(p)?;
     let ordering = ordering_option(p)?;
     let priority = match p.opt("priority") {
         None => Priority::Interactive,
@@ -674,7 +653,7 @@ fn cmd_submit(p: &mut ParsedArgs) -> Result<(), CliError> {
     let tenant = p.opt("tenant").unwrap_or("").to_string();
     let mut client = Client::connect(&addr).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     let outcome = client
-        .submit(&a, SubmitOptions { engine, ordering, priority, deadline_ms, tenant })
+        .submit(&a, SubmitOptions { ordering, priority, deadline_ms, tenant })
         .map_err(client_error)?;
     println!(
         "# {} singular values ({} sweeps, job {})",
@@ -823,34 +802,16 @@ mod tests {
     }
 
     #[test]
-    fn svd_engine_option_selects_engines_and_rejects_unknown() {
-        let dir = std::env::temp_dir().join("hjsvd_cli_engine");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mp = dir.join("m.csv").to_str().unwrap().to_string();
-        run(&args(&["generate", "--rows", "12", "--cols", "5", &mp, "--seed", "9"])).unwrap();
-        run(&args(&["svd", &mp, "--engine", "par"])).unwrap();
-        run(&args(&["svd", &mp, "--values-only", "--engine", "blocked"])).unwrap();
-        run(&args(&["svd", &mp, "--engine", "sequential"])).unwrap();
-        let err = run(&args(&["svd", &mp, "--engine", "warp"])).unwrap_err();
-        assert!(err.message.contains("choose seq, par, or blocked"), "{}", err.message);
-        assert_eq!((err.code, err.kind), (2, "usage"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn svd_ordering_options_select_strategies_and_reject_unknown() {
         let dir = std::env::temp_dir().join("hjsvd_cli_ordering");
         std::fs::create_dir_all(&dir).unwrap();
         let mp = dir.join("m.csv").to_str().unwrap().to_string();
         run(&args(&["generate", "--rows", "12", "--cols", "5", &mp, "--seed", "9"])).unwrap();
         run(&args(&["svd", &mp, "--ordering", "greedy"])).unwrap();
-        run(&args(&["svd", &mp, "--ordering", "presort", "--engine", "blocked"])).unwrap();
+        run(&args(&["svd", &mp, "--ordering", "presort"])).unwrap();
         run(&args(&["svd", &mp, "--values-only", "--ordering", "cyclic", "--threshold-schedule"]))
             .unwrap();
         run(&args(&["svd", &mp, "--ordering", "row"])).unwrap();
-        // Row-cyclic on a grouped engine is an invalid configuration.
-        let e = run(&args(&["svd", &mp, "--ordering", "row", "--engine", "par"])).unwrap_err();
-        assert_eq!((e.code, e.kind), (5, "bad-config"));
         let e = run(&args(&["svd", &mp, "--ordering", "zigzag"])).unwrap_err();
         assert_eq!((e.code, e.kind), (2, "usage"));
         assert!(e.message.contains("choose cyclic, row, greedy, or presort"), "{}", e.message);
@@ -923,23 +884,13 @@ mod tests {
         assert!(starts > 0 && starts == ends, "unbalanced sweeps: {starts} vs {ends}");
         assert!(!text.contains("rotation_applied"), "sweep level must not emit rotations");
 
-        // Rotation level adds per-rotation events; the grouped engines also
-        // report their round dispatches. Values-only path.
-        run(&args(&[
-            "svd",
-            &mp,
-            "--values-only",
-            "--engine",
-            "blocked",
-            "--trace",
-            &tp,
-            "--trace-level",
-            "rotation",
-        ]))
-        .unwrap();
+        // Rotation level adds per-rotation events on top of each sweep's
+        // plan. Values-only path.
+        run(&args(&["svd", &mp, "--values-only", "--trace", &tp, "--trace-level", "rotation"]))
+            .unwrap();
         let rot = std::fs::read_to_string(&tp).unwrap();
         assert!(rot.contains("\"event\":\"rotation_applied\""));
-        assert!(rot.contains("\"event\":\"pair_group_dispatched\""));
+        assert!(rot.contains("\"event\":\"sweep_planned\""));
 
         // '-' streams to stdout without error.
         run(&args(&["svd", &mp, "--values-only", "--trace", "-"])).unwrap();
@@ -1054,13 +1005,13 @@ mod tests {
             assert!(line.contains("\"engine\":\"batch-soa\""), "{line}");
         }
 
-        // Comma-separated list input; a non-default engine opts out of the
-        // SoA dispatch and the stats name the engine that actually ran.
-        run(&args(&["svd", "--batch", &paths.join(","), "--engine", "blocked", "--stats", &sp]))
+        // Comma-separated list input; a non-default ordering opts out of
+        // the SoA dispatch and the stats name the engine that actually ran.
+        run(&args(&["svd", "--batch", &paths.join(","), "--ordering", "greedy", "--stats", &sp]))
             .unwrap();
         let looped = std::fs::read_to_string(&sp).unwrap();
         assert_eq!(looped.lines().count(), 3);
-        assert!(looped.contains("\"engine\":\"blocked\""), "{looped}");
+        assert!(looped.contains("\"engine\":\"sequential\""), "{looped}");
 
         // A poisoned slot fails alone with the bad-input exit code while
         // every other slot still solves (and still reports stats).

@@ -1,5 +1,5 @@
-//! Kernel-compat layer: pins the vectorized kernels introduced for the
-//! engine-inversion fix against the scalar paths they replaced.
+//! Kernel-compat layer: pins the vectorized kernels against the scalar
+//! paths they replaced.
 //!
 //! Compat policy (also documented in `hj_core::kernel`):
 //!
@@ -25,7 +25,7 @@
 
 use hjsvd::core::kernel::{batch_params, rotate_packed};
 use hjsvd::core::rotation::{hardware_params, textbook_params, Rotation};
-use hjsvd::core::{EngineKind, GramState, HestenesSvd, SvdOptions};
+use hjsvd::core::GramState;
 use hjsvd::matrix::{gen, ops, Matrix, PackedSymmetric};
 use proptest::prelude::*;
 
@@ -179,47 +179,6 @@ proptest! {
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "pair ({}, {}) n {}", i, j, n);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn blocked_fast_path_equals_sequential_bitwise(seed in 0u64..60, n in 2usize..20) {
-        // Engine equivalence over the vectorized paths: under `for_dim`
-        // every n here fits one tile, and the fast path must reproduce the
-        // sequential engine's bits exactly — values, U, and V.
-        let a = gen::uniform(2 * n + 3, n, seed);
-        let seq = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-        let blk =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Blocked, ..Default::default() })
-                .decompose(&a)
-                .unwrap();
-        prop_assert_eq!(&seq.singular_values, &blk.singular_values);
-        prop_assert_eq!(seq.u.as_slice(), blk.u.as_slice());
-        prop_assert_eq!(seq.v.as_slice(), blk.v.as_slice());
-        prop_assert_eq!(blk.stats.tile_refills, 0, "single tile must never refill");
-    }
-
-    #[test]
-    fn parallel_engine_matches_sequential_bitwise_on_one_thread(seed in 0u64..60, n in 2usize..16) {
-        // The 1-thread fallback is the sequential engine, bit for bit. On
-        // wider pools the engines legitimately differ in rounding, so this
-        // pin only applies where the fallback engages.
-        let a = gen::uniform(2 * n + 1, n, seed);
-        let par =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Parallel, ..Default::default() })
-                .decompose(&a)
-                .unwrap();
-        if par.stats.threads != 1 {
-            return Ok(());
-        }
-        let seq = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-        prop_assert_eq!(&seq.singular_values, &par.singular_values);
-        prop_assert_eq!(seq.u.as_slice(), par.u.as_slice());
-        prop_assert_eq!(seq.v.as_slice(), par.v.as_slice());
-        prop_assert_eq!(par.stats.parallel_dispatches, 0);
     }
 }
 
