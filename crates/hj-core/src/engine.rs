@@ -7,18 +7,21 @@
 //! runs its sweeps through exactly one loop, [`SolveDriver::run`], against an
 //! engine implementing [`SweepEngine`]. The crate ships one:
 //! [`Sequential`], faithful to Algorithm 1's data flow — pairs are visited
-//! one at a time and `D` (plus any columns) is rotated in place. The trait
-//! stays open so callers can wrap it (a timing or counting engine around
-//! [`Sequential`]). Parallelism comes from running independent problems
+//! one at a time and `D` (plus `V`, when accumulated) is rotated in place.
+//! The trait stays open so callers can wrap it (a timing or counting engine
+//! around [`Sequential`]). Parallelism comes from running independent problems
 //! side by side — the SoA batch engine ([`crate::batch_engine`]) and the
 //! batch API's fan-out — not from synchronized rounds within one problem,
 //! whose per-round barriers are the cost the paper holds against the GPU
 //! baseline.
 //!
 //! What gets rotated is expressed once, by [`RotationTarget`]: the Gram
-//! matrix alone (values-only mode), Gram + matrix columns (maintaining
-//! `B = A·V`), Gram + columns + accumulated `V`, or Gram + `V` only (the
-//! eigensolver). Which pairs are *skipped* is expressed once too, by
+//! matrix alone (values-only mode), Gram + accumulated `V` (the
+//! eigensolver), or Gram + `V` with the matrix columns `B` carried along
+//! (full SVD mode). Sweeps never touch `B`: the rotation parameters come
+//! from `D` alone, so the driver forms `B ← B·V` once, after the sweep loop,
+//! and the `m`-long columns are read once per solve instead of once per
+//! rotation. Which pairs are *skipped* is expressed once too, by
 //! [`PairGuard`]: the SVD drivers' relative Drmač guard or the classical
 //! eigensolver's diagonal-scaled threshold.
 //!
@@ -126,16 +129,16 @@ impl ReadyGuard {
 }
 
 /// What a sweep rotates besides the maintained covariance matrix `D` —
-/// the single place the Gram-only / Gram+columns / Gram+columns+V decision
-/// lives. Every engine consumes this; no driver re-encodes it.
+/// the single place the Gram-only / Gram+V / full-SVD decision lives.
+/// Every engine consumes this; no driver re-encodes it.
 #[derive(Debug, Default)]
 pub struct RotationTarget<'a> {
-    /// Column data kept in sync with `D` (the evolving `B = A·V`);
-    /// `None` in values-only mode.
-    pub columns: Option<&'a mut Matrix>,
+    /// Column data `B`, multiplied by the accumulated `V` once the sweep
+    /// loop ends; `None` unless full SVD mode.
+    columns: Option<&'a mut Matrix>,
     /// Accumulated right-rotation matrix `V`; `None` when singular/eigen
     /// vectors are not needed.
-    pub v: Option<&'a mut Matrix>,
+    v: Option<&'a mut Matrix>,
 }
 
 impl<'a> RotationTarget<'a> {
@@ -144,13 +147,16 @@ impl<'a> RotationTarget<'a> {
         RotationTarget { columns: None, v: None }
     }
 
-    /// Rotate `D` and the matrix columns (no `V` accumulation).
-    pub fn with_columns(columns: &'a mut Matrix) -> RotationTarget<'a> {
-        RotationTarget { columns: Some(columns), v: None }
-    }
-
-    /// Rotate `D`, the matrix columns, and accumulate `V` — full SVD mode.
+    /// Full SVD mode: rotate `D`, accumulate `V`, and leave `B = B₀·V` at
+    /// the end of a clean run.
+    ///
+    /// Precondition: `v` is the `n × n` identity on entry and `columns` has
+    /// `n` columns. Sweeps rotate only `D` and `V`; [`SolveDriver::run_monitored`]
+    /// then replaces `columns` (its entry value `B₀`) with `B₀·V` once, after
+    /// a sweep loop that ended without a fault. On a fault `columns` is left
+    /// as it came in.
     pub fn full(columns: &'a mut Matrix, v: &'a mut Matrix) -> RotationTarget<'a> {
+        debug_assert_eq!(v.shape(), (columns.cols(), columns.cols()));
         RotationTarget { columns: Some(columns), v: Some(v) }
     }
 
@@ -200,7 +206,7 @@ pub trait SweepEngine {
         self.sweep_traced(state, order, idx, &mut Tracer::disabled())
     }
 
-    /// Fold engine-level counters (Gram traffic, column touches) into
+    /// Fold engine-level counters (Gram traffic, `D` column touches) into
     /// `stats` once the solve's sweep loop is done. `n` is the problem
     /// dimension.
     fn finish(&mut self, stats: &mut SolveStats, n: usize);
@@ -250,9 +256,6 @@ impl SweepEngine for Sequential {
             }
             let rot = textbook_params(ni, nj, cov);
             state.gram.rotate(i, j, &rot);
-            if let Some(b) = state.target.columns.as_deref_mut() {
-                b.column_pair(i, j).expect("sweep pairs are valid").rotate(rot.cos, rot.sin);
-            }
             if let Some(vm) = state.target.v.as_deref_mut() {
                 vm.column_pair(i, j).expect("sweep pairs are valid").rotate(rot.cos, rot.sin);
             }
@@ -413,6 +416,10 @@ impl SolveDriver {
     /// guard once the ramp bottoms out, and suppresses the
     /// [`Convergence::NoRotations`] stopping rule while the ramp is active
     /// (a coarse guard's idle sweep is not convergence).
+    ///
+    /// With a [`RotationTarget::full`] target, a run that ends without a
+    /// fault finishes by forming `B ← B·V` in place, timed into
+    /// [`SolveStats::columns_seconds`].
     pub fn run_monitored(
         &self,
         engine: &mut dyn SweepEngine,
@@ -508,6 +515,10 @@ impl SolveDriver {
         state.guard = base_guard;
         if fault.is_some() {
             stats.faults += 1;
+        } else if let RotationTarget { columns: Some(b), v: Some(v) } = &mut state.target {
+            let t0 = Instant::now();
+            b.matmul_in_place(v).expect("B has as many columns as V");
+            stats.columns_seconds = t0.elapsed().as_secs_f64();
         }
         engine.finish(&mut stats, n);
         stats.engine = engine.name();
@@ -595,6 +606,42 @@ mod tests {
         assert_eq!(seq.engine, "sequential");
         assert_eq!(seq.workspace_allocations, 0);
         assert_eq!(seq.gram_col_touches, 2 * seq.rotations_applied as u64);
+        assert_eq!(seq.columns_seconds, 0.0, "values-only runs form no columns");
+    }
+
+    #[test]
+    fn full_target_forms_b_times_v_after_a_clean_run_only() {
+        let a = gen::uniform(37, 9, 8);
+        let order = round_robin(9);
+
+        // Clean run: the sweeps never touch B; the driver then forms A·V.
+        let (mut b, mut v) = (a.clone(), Matrix::identity(9));
+        let mut g = GramState::from_matrix(&a);
+        let mut st = SweepState {
+            gram: &mut g,
+            target: RotationTarget::full(&mut b, &mut v),
+            guard: PairGuard::default(),
+        };
+        let (_, stats) = driver().run(&mut Sequential, &mut st, &order);
+        let mut want = a.clone();
+        want.matmul_in_place(&v).unwrap();
+        assert_eq!(b, want);
+        assert!(stats.columns_seconds > 0.0, "the column product is timed");
+
+        // A faulted run leaves B as it came in.
+        let (mut b, mut v) = (a.clone(), Matrix::identity(9));
+        let mut g = GramState::from_matrix(&a);
+        let mut st = SweepState {
+            gram: &mut g,
+            target: RotationTarget::full(&mut b, &mut v),
+            guard: PairGuard::default(),
+        };
+        let budget = SolveBudget::with_deadline(Instant::now() - std::time::Duration::from_secs(1));
+        let mut mon = SolveMonitor::new(budget, HealthCheck::default());
+        let run = driver().run_monitored_static(&mut Sequential, &mut st, &order, &mut mon);
+        assert!(run.fault.is_some());
+        assert_eq!(run.stats.columns_seconds, 0.0);
+        assert_eq!(b, a);
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //!   trait, the [`engine::RotationTarget`] / [`engine::PairGuard`]
 //!   abstractions, the in-place [`engine::Sequential`] engine (the only
 //!   one), and the single [`engine::SolveDriver`] loop every solver runs on.
-//! * [`sweep`] — single-sweep entry points (gram-only and full), thin
-//!   wrappers over the [`engine::Sequential`] engine.
+//! * [`sweep`] — the single-sweep entry point over `D`, a thin wrapper
+//!   over the [`engine::Sequential`] engine.
 //! * [`batch`] — batched drivers ([`HestenesSvd::decompose_batch`]) fanning
 //!   independent solves across the pool with per-solve error isolation and
 //!   a shared [`batch::WorkspacePool`] of warm scratch.

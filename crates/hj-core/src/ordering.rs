@@ -131,8 +131,8 @@ pub enum Ordering {
     /// back to [`Ordering::RoundRobin`] on a stall.
     SortedGreedy,
     /// de Rijk-style column presort: columns are permuted once up front into
-    /// descending-norm order (the permutation is folded into `V`, so output
-    /// needs no undo pass), then swept with the round-robin cyclic order.
+    /// descending-norm order, then swept with the round-robin cyclic order;
+    /// full solves put `V`'s rows back in input order at the end.
     /// Provably convergent (it *is* cyclic after the permutation).
     ColumnNormPresort,
 }

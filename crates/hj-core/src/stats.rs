@@ -27,6 +27,10 @@ pub struct SolveStats {
     /// Total wall-clock seconds across all sweeps (excludes the initial
     /// Gram build and the final factor-extraction stage).
     pub total_seconds: f64,
+    /// Wall-clock seconds of the full-mode column product `B ← B·V`, formed
+    /// once after the sweep loop (excluded from `total_seconds`); 0 in
+    /// values-only mode.
+    pub columns_seconds: f64,
     /// Rotations applied across all sweeps.
     pub rotations_applied: usize,
     /// Pairs skipped by the per-pair orthogonality guard across all sweeps.
@@ -82,7 +86,7 @@ impl SolveStats {
     /// a finite number, so `{:?}` formatting yields valid JSON numbers. The
     /// schema — field names, order, and types — is pinned by the round-trip
     /// through [`SolveStats::from_json`] in this module's tests, so the
-    /// documented fifteen-field shape cannot drift silently.
+    /// documented sixteen-field shape cannot drift silently.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut s = String::with_capacity(256);
@@ -98,7 +102,7 @@ impl SolveStats {
             concat!(
                 "{{\"engine\":\"{}\",\"ordering\":\"{}\",",
                 "\"sweeps\":{},\"sweep_seconds\":[{}],",
-                "\"total_seconds\":{:?},",
+                "\"total_seconds\":{:?},\"columns_seconds\":{:?},",
                 "\"rotations_applied\":{},\"rotations_skipped\":{},",
                 "\"workspace_allocations\":{},\"gram_bytes\":{},",
                 "\"gram_col_touches\":{},",
@@ -110,6 +114,7 @@ impl SolveStats {
             self.sweeps,
             sweep_seconds,
             self.total_seconds,
+            self.columns_seconds,
             self.rotations_applied,
             self.rotations_skipped,
             self.workspace_allocations,
@@ -215,6 +220,10 @@ impl SolveStats {
                     st.replans = value.parse().ok()?;
                     1 << 14
                 }
+                "columns_seconds" => {
+                    st.columns_seconds = value.parse().ok()?;
+                    1 << 15
+                }
                 _ => return None,
             };
             if seen & bit != 0 {
@@ -222,7 +231,7 @@ impl SolveStats {
             }
             seen |= bit;
         }
-        if seen != (1 << 15) - 1 {
+        if seen != (1 << 16) - 1 {
             return None; // missing field(s)
         }
         Some(st)
@@ -316,6 +325,7 @@ mod tests {
         st.prescale_exp = -532;
         st.pairs_skipped_by_threshold = 13;
         st.replans = 2;
+        st.columns_seconds = 0.125;
         st
     }
 
@@ -346,6 +356,7 @@ mod tests {
         assert!(j.contains("\"prescale_exp\":-532"));
         assert!(j.contains("\"pairs_skipped_by_threshold\":13"));
         assert!(j.contains("\"replans\":2"));
+        assert!(j.contains("\"columns_seconds\":0.125"));
         // No trailing commas, balanced brackets — cheap well-formedness check.
         assert!(!j.contains(",]") && !j.contains(",}"));
         assert_eq!(j.matches('[').count(), j.matches(']').count());

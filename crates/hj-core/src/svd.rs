@@ -464,41 +464,33 @@ impl HestenesSvd {
         loop {
             let presort = ordering == Ordering::ColumnNormPresort;
             // Build this attempt's working state from the pristine input.
-            let (mut gram, mut b, mut v) = if full {
+            let (mut gram, mut b, mut v, perm) = if full {
                 let mut b = a.clone();
                 apply_exp2(&mut b, exp);
-                if presort {
-                    // de Rijk presort: permute the working columns into
-                    // descending-norm order and fold the permutation into
-                    // V's starting value (B = A·V holds from sweep 0, so no
-                    // undo pass is needed on output).
-                    let perm = presort_permutation(&b);
-                    let b = permuted_columns(&b, &perm);
-                    let mut v = Matrix::zeros(n, n);
-                    for (t, &c) in perm.iter().enumerate() {
-                        v.set(c, t, 1.0);
-                    }
-                    let gram = GramState::from_matrix(&b);
-                    (gram, Some(b), Some(v))
-                } else {
-                    let gram = GramState::from_matrix(&b);
-                    (gram, Some(b), Some(Matrix::identity(n)))
+                // de Rijk presort: the run starts from B = A·P (the columns
+                // in descending-norm order) and V = I, as a full target
+                // requires; V's rows are permuted back once it converges.
+                let perm = presort.then(|| presort_permutation(&b));
+                if let Some(perm) = &perm {
+                    b = permuted_columns(&b, perm);
                 }
+                let gram = GramState::from_matrix(&b);
+                (gram, Some(b), Some(Matrix::identity(n)), perm)
             } else if presort {
                 // Values-only: the spectrum is permutation-invariant, so the
                 // presorted Gram needs no bookkeeping at all.
                 let mut scaled = a.clone();
                 apply_exp2(&mut scaled, exp);
                 let perm = presort_permutation(&scaled);
-                (GramState::from_matrix(&permuted_columns(&scaled, &perm)), None, None)
+                (GramState::from_matrix(&permuted_columns(&scaled, &perm)), None, None, None)
             } else if exp == 0 {
                 // Values-only fast path: D is built straight off the caller's
                 // matrix, no clone.
-                (GramState::from_matrix(a), None, None)
+                (GramState::from_matrix(a), None, None, None)
             } else {
                 let mut scaled = a.clone();
                 apply_exp2(&mut scaled, exp);
-                (GramState::from_matrix(&scaled), None, None)
+                (GramState::from_matrix(&scaled), None, None, None)
             };
             let driver = SolveDriver { convergence: self.options.convergence, max_sweeps };
             let target = match (b.as_mut(), v.as_mut()) {
@@ -518,6 +510,10 @@ impl HestenesSvd {
                 stats.recoveries = recoveries;
                 stats.prescale_exp = exp;
                 ws.put_plan_buffers(plan_buffers);
+                // A·P·V = A·(P·V): row t of V is row perm[t] of the factor.
+                if let (Some(perm), Some(v)) = (&perm, v.as_mut()) {
+                    *v = unpermuted_rows(v, perm);
+                }
                 return Ok(GuardedSolve {
                     gram,
                     b,
@@ -599,9 +595,10 @@ impl HestenesSvd {
 
     /// Compute the full thin SVD `A = U Σ Vᵀ`.
     ///
-    /// Unlike the values-only mode, columns are rotated in **every** sweep
-    /// (maintaining `B = A·V`) and the rotations are accumulated into `V`;
-    /// afterwards `U = B·Σ⁻¹` (paper's eq. (7)).
+    /// Sweeps rotate `D` as in the values-only mode and also accumulate the
+    /// rotations into `V`; the `m`-long columns are never rotated. Once the
+    /// sweeps converge, `B = A·V` is formed in one pass and `U = B·Σ⁻¹`
+    /// (paper's eqs. (6)–(7)).
     pub fn decompose(&self, a: &Matrix) -> Result<Svd, SvdError> {
         let mut ws = SweepWorkspace::new();
         self.decompose_with_workspace(a, &mut ws)
@@ -662,44 +659,62 @@ impl HestenesSvd {
     /// Extract `U`, `Σ`, `V` from a finished full-mode guarded solve. The
     /// factors are computed on the scaled system — `U` and `V` are invariant
     /// under the uniform pre-scaling (the scale cancels in `U = B·Σ⁻¹`), so
-    /// only `Σ` is unscaled at the end.
+    /// only `Σ` is unscaled at the end. `U` is `B` itself: its columns are
+    /// scaled by `1/σ` and moved into σ order in place.
     fn finish_decompose(&self, a: &Matrix, solved: GuardedSolve) -> Result<Svd, SvdError> {
         let GuardedSolve { b, v, history, stats, scale_exp, .. } = solved;
-        let b = b.expect("full-mode solve maintains B");
-        let v = v.expect("full-mode solve accumulates V");
+        let mut u = b.expect("full-mode solve forms B");
+        let mut v = v.expect("full-mode solve accumulates V");
         let (m, n) = a.shape();
         let k = m.min(n);
         let sweeps = history.len();
 
-        // Σ from the Gram diagonal; recompute from the actual rotated columns
+        // Σ from the Gram diagonal; recompute from the actual columns of B
         // for the final values (slightly more accurate than the updated D and
         // free: one pass over B).
         let mut order_idx: Vec<usize> = (0..n).collect();
-        let col_norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();
+        let col_norms: Vec<f64> = (0..n).map(|c| ops::norm(u.col(c))).collect();
         order_idx.sort_by(|&x, &y| col_norms[y].partial_cmp(&col_norms[x]).expect("finite norms"));
 
-        let mut u = Matrix::zeros(m, k);
         let mut sigma = Vec::with_capacity(k);
-        let mut v_sorted = Matrix::zeros(n, k);
         // Zero-σ cutoff: below this, B's column is numerical noise and U's
-        // column is left zero (its direction is not determined by the data).
+        // column is zeroed (its direction is not determined by the data).
         let smax = col_norms[order_idx[0]];
         let cutoff = smax * f64::EPSILON * m.max(n) as f64;
-        for (t, &c) in order_idx.iter().take(k).enumerate() {
+        for &c in order_idx.iter().take(k) {
             let s = col_norms[c];
             sigma.push(s);
+            let uc = u.col_mut(c);
             if s > cutoff && s > 0.0 {
                 let inv = 1.0 / s;
-                let bc = b.col(c);
-                let uc = u.col_mut(t);
-                for (out, &x) in uc.iter_mut().zip(bc) {
-                    *out = x * inv;
-                }
+                uc.iter_mut().for_each(|x| *x *= inv);
+            } else {
+                uc.fill(0.0);
             }
-            v_sorted.col_mut(t).copy_from_slice(v.col(c));
         }
+        gather_columns(&mut order_idx, &mut u, &mut v);
+        u.truncate_columns(k);
+        v.truncate_columns(k);
         unscale_values(&mut sigma, scale_exp);
-        Ok(Svd { u, singular_values: sigma, v: v_sorted, sweeps, history, stats })
+        Ok(Svd { u, singular_values: sigma, v, sweeps, history, stats })
+    }
+}
+
+/// Move column `order[t]` of both `u` and `v` to position `t`, in place:
+/// each cycle of the permutation is walked once with column swaps. Leaves
+/// `order` as the identity.
+fn gather_columns(order: &mut [usize], u: &mut Matrix, v: &mut Matrix) {
+    for start in 0..order.len() {
+        let mut t = start;
+        loop {
+            let src = std::mem::replace(&mut order[t], t);
+            if src == start {
+                break;
+            }
+            u.swap_columns(t, src);
+            v.swap_columns(t, src);
+            t = src;
+        }
     }
 }
 
@@ -725,8 +740,21 @@ fn permuted_columns(b: &Matrix, perm: &[usize]) -> Matrix {
     out
 }
 
+/// The presort's `V` back in the input's column order: row `t` of `v`
+/// becomes row `perm[t]`.
+fn unpermuted_rows(v: &Matrix, perm: &[usize]) -> Matrix {
+    let mut out = Matrix::zeros(v.rows(), v.cols());
+    for c in 0..v.cols() {
+        let (src, dst) = (v.col(c), out.col_mut(c));
+        for (&x, &r) in src.iter().zip(perm) {
+            dst[r] = x;
+        }
+    }
+    out
+}
+
 /// A finished guarded solve, before factor extraction: the converged `D`,
-/// the rotated columns `B` and accumulated `V` (full mode only), the last
+/// the columns `B = A·V` and accumulated `V` (full mode only), the last
 /// attempt's history/stats, and the pre-scaling exponent still baked into
 /// the spectrum.
 struct GuardedSolve {

@@ -1,23 +1,21 @@
-//! Sequential single-sweep entry points.
+//! The sequential single-sweep entry point and the per-sweep record.
 //!
-//! A *sweep* visits every column pair once in the chosen ordering. Two modes
-//! mirror the two phases of the paper's architecture:
+//! A *sweep* visits every column pair once in the chosen ordering.
+//! [`sweep_gram_only`] runs one sweep over the maintained covariance matrix
+//! `D` (`O(n)` per pair) — what the paper's hardware does from the second
+//! sweep onward, and all a sweep ever needs: the rotation parameters come
+//! from `D` alone. A full `A = UΣVᵀ` factorization also accumulates the
+//! rotations into `V` and forms the columns `B = A·V` once, after the sweep
+//! loop ([`crate::engine::RotationTarget::full`]); no sweep streams the
+//! `m`-long columns.
 //!
-//! * [`sweep_gram_only`] — rotates only the maintained covariance matrix `D`
-//!   (`O(n)` per pair). This is what the hardware does from the second sweep
-//!   onward, and all that is needed to obtain singular *values*.
-//! * [`sweep_full`] — additionally rotates the actual matrix columns
-//!   (`O(m)` per pair) and, optionally, accumulates the right singular
-//!   vectors `V`. Required for a full `A = UΣVᵀ` factorization.
-//!
-//! Both are thin wrappers over the [`crate::engine::Sequential`] engine —
-//! the actual pair loop lives there, shared with every other solver.
+//! The pair loop itself lives in the [`crate::engine::Sequential`] engine,
+//! shared with every solver.
 
 use crate::convergence::SweepRecord;
 use crate::engine::{PairGuard, RotationTarget, Sequential, SweepEngine, SweepState};
 use crate::gram::GramState;
 use crate::ordering::Sweep;
-use hj_matrix::Matrix;
 
 /// Per-pair orthogonality guard used by the sweep drivers; pairs with
 /// `|cov| ≤ PAIR_TOL·√(D_ii·D_jj)` are skipped. A few ulps above machine
@@ -32,31 +30,6 @@ pub const PAIR_TOL: f64 = 1e-15;
 pub fn sweep_gram_only(gram: &mut GramState, order: &Sweep, sweep_index: usize) -> SweepRecord {
     let mut state =
         SweepState { gram, target: RotationTarget::gram_only(), guard: PairGuard::default() };
-    Sequential.sweep(&mut state, order, sweep_index)
-}
-
-/// Run one full sweep: rotate `D`, the matrix columns, and (if provided) the
-/// accumulated right-singular-vector matrix `V`.
-///
-/// `v`, when present, must be `n × n` and is post-multiplied by the same
-/// plane rotations, so that after convergence `A·V = B` with orthogonal
-/// columns (paper's eq. (6)).
-pub fn sweep_full(
-    a: &mut Matrix,
-    gram: &mut GramState,
-    v: Option<&mut Matrix>,
-    order: &Sweep,
-    sweep_index: usize,
-) -> SweepRecord {
-    debug_assert_eq!(a.cols(), gram.dim());
-    if let Some(vm) = v.as_deref() {
-        debug_assert_eq!(vm.shape(), (a.cols(), a.cols()));
-    }
-    let target = match v {
-        Some(vm) => RotationTarget::full(a, vm),
-        None => RotationTarget::with_columns(a),
-    };
-    let mut state = SweepState { gram, target, guard: PairGuard::default() };
     Sequential.sweep(&mut state, order, sweep_index)
 }
 
@@ -84,8 +57,10 @@ pub(crate) fn finish_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::Convergence;
+    use crate::engine::SolveDriver;
     use crate::ordering::{build_sweep, Ordering};
-    use hj_matrix::{gen, norms};
+    use hj_matrix::{gen, norms, Matrix};
 
     #[test]
     fn gram_only_sweep_reduces_off_mass() {
@@ -126,18 +101,30 @@ mod tests {
         assert!(g.max_abs_covariance() <= 1e-13 * g.trace() / 5.0);
     }
 
+    fn full_run(a0: &Matrix, convergence: Convergence) -> (Matrix, GramState, Matrix) {
+        let mut b = a0.clone();
+        let mut g = GramState::from_matrix(&b);
+        let mut v = Matrix::identity(a0.cols());
+        let order = build_sweep(Ordering::RoundRobin, a0.cols());
+        let mut state = SweepState {
+            gram: &mut g,
+            target: RotationTarget::full(&mut b, &mut v),
+            guard: PairGuard::default(),
+        };
+        SolveDriver { convergence, max_sweeps: 8 }.run(&mut Sequential, &mut state, &order);
+        (b, g, v)
+    }
+
     #[test]
     fn full_sweep_keeps_gram_consistent_with_columns() {
-        let mut a = gen::uniform(25, 7, 4);
-        let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RoundRobin, 7);
-        sweep_full(&mut a, &mut g, None, &order, 1);
-        let fresh = GramState::from_matrix(&a);
+        let a = gen::uniform(25, 7, 4);
+        let (b, g, _) = full_run(&a, Convergence::FixedSweeps(1));
+        let fresh = GramState::from_matrix(&b);
         for p in 0..7 {
             for q in p..7 {
                 assert!(
                     (g.covariance(p, q) - fresh.covariance(p, q)).abs() < 1e-10,
-                    "D[{p}][{q}] inconsistent with rotated columns"
+                    "D[{p}][{q}] inconsistent with the formed columns"
                 );
             }
         }
@@ -146,13 +133,7 @@ mod tests {
     #[test]
     fn full_sweep_accumulates_v_such_that_av_equals_b() {
         let a0 = gen::uniform(12, 5, 21);
-        let mut b = a0.clone();
-        let mut g = GramState::from_matrix(&b);
-        let mut v = Matrix::identity(5);
-        let order = build_sweep(Ordering::RoundRobin, 5);
-        (1..=8).for_each(|s| {
-            sweep_full(&mut b, &mut g, Some(&mut v), &order, s);
-        });
+        let (b, _, v) = full_run(&a0, Convergence::FixedSweeps(8));
         // V must stay orthogonal and satisfy A·V = B.
         assert!(norms::orthonormality_error(&v) < 1e-12);
         let av = a0.matmul(&v).unwrap();

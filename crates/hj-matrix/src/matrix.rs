@@ -18,6 +18,18 @@ const GRAM_MIN_TILED_ROWS: usize = 64;
 /// (16 lanes each, 64 KiB at 512) carry over between panels on the stack.
 const GRAM_TILE_DOTS: usize = 512;
 
+/// Rows per panel of the in-place product ([`Matrix::matmul_in_place`]):
+/// the height of its register tile.
+const PRODUCT_PANEL_ROWS: usize = 16;
+
+/// Columns of the in-place product's register tile; with
+/// [`PRODUCT_PANEL_ROWS`] rows that is 64 accumulators.
+const PRODUCT_TILE_COLS: usize = 4;
+
+/// Widest matrix whose row panel fits the in-place product's stack buffer
+/// (32 KiB); wider ones gather each panel into one heap buffer per call.
+const PRODUCT_STACK_COLS: usize = 256;
+
 /// A dense, column-major `rows × cols` matrix of `f64`.
 ///
 /// Element `(r, c)` lives at `data[c * rows + r]`, so each column is a
@@ -282,6 +294,99 @@ impl Matrix {
         d
     }
 
+    /// Replace `self` with `self · rhs` in place, for a square `rhs` with as
+    /// many rows as `self` has columns.
+    ///
+    /// The product works on row panels of `PRODUCT_PANEL_ROWS` rows: it
+    /// gathers a panel's rows into a buffer, multiplies it by `rhs` one
+    /// register tile of `PRODUCT_PANEL_ROWS × PRODUCT_TILE_COLS` outputs at
+    /// a time, and writes each tile back into the panel's rows. So `self` is
+    /// read once and written once, and every `rhs` entry a tile loads is
+    /// shared by all the panel's rows. Each output entry `(r, j)` is the sum
+    /// over `k` in order, from zero, of `self[r, k] · rhs[k, j]`, with one
+    /// rounding per multiply and per add. The panel buffer lives on the
+    /// stack for up to `PRODUCT_STACK_COLS` columns, so the product then
+    /// allocates nothing; wider matrices allocate one panel buffer per call.
+    pub fn matmul_in_place(&mut self, rhs: &Matrix) -> Result<()> {
+        let (m, n) = self.shape();
+        if rhs.shape() != (n, n) {
+            return Err(MatrixError::DimensionMismatch {
+                op: "matmul_in_place",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let len = PRODUCT_PANEL_ROWS * n;
+        let mut stack = [0.0; PRODUCT_PANEL_ROWS * PRODUCT_STACK_COLS];
+        let mut heap = Vec::new();
+        let panel = if len <= stack.len() {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 0.0);
+            &mut heap[..]
+        };
+        for r0 in (0..m).step_by(PRODUCT_PANEL_ROWS) {
+            let h = (m - r0).min(PRODUCT_PANEL_ROWS);
+            // Row r0 + r of column k goes to panel[k·ROWS + r]; a short last
+            // panel is zero-padded, and its padding rows are never written.
+            for (k, dst) in panel.chunks_exact_mut(PRODUCT_PANEL_ROWS).enumerate() {
+                dst[..h].copy_from_slice(&self.data[k * m + r0..k * m + r0 + h]);
+                dst[h..].fill(0.0);
+            }
+            let mut j = 0;
+            while j + PRODUCT_TILE_COLS <= n {
+                self.product_tile::<PRODUCT_TILE_COLS>(panel, rhs, r0, h, j);
+                j += PRODUCT_TILE_COLS;
+            }
+            for j in j..n {
+                self.product_tile::<1>(panel, rhs, r0, h, j);
+            }
+        }
+        Ok(())
+    }
+
+    /// Output columns `j..j + C` (`C` ≤ 4) of the panel at row `r0` (`h`
+    /// real rows): one register tile, summed over `k` in order, then
+    /// written back. Kept out of line: inlined into the panel loop, its
+    /// accumulators stopped fitting the registers and the product ran
+    /// several times slower.
+    #[inline(never)]
+    fn product_tile<const C: usize>(
+        &mut self,
+        panel: &[f64],
+        rhs: &Matrix,
+        r0: usize,
+        h: usize,
+        j: usize,
+    ) {
+        const { assert!(C >= 1 && C <= PRODUCT_TILE_COLS) };
+        // Named accumulators (the ones past `C` alias the last real column
+        // and are never written back) keep the whole tile in registers.
+        let w = |c: usize| rhs.col(j + c.min(C - 1));
+        let (w0, w1, w2, w3) = (w(0), w(1), w(2), w(3));
+        let mut acc = [[0.0; PRODUCT_PANEL_ROWS]; PRODUCT_TILE_COLS];
+        let [a0, a1, a2, a3] = &mut acc;
+        let k_steps = panel.chunks_exact(PRODUCT_PANEL_ROWS).zip(w0).zip(w1).zip(w2).zip(w3);
+        for ((((rows, &x0), &x1), &x2), &x3) in k_steps {
+            let rows: &[f64; PRODUCT_PANEL_ROWS] = rows.try_into().expect("whole panel rows");
+            rows_mul_add(a0, rows, x0);
+            if C >= 2 {
+                rows_mul_add(a1, rows, x1);
+            }
+            if C >= 3 {
+                rows_mul_add(a2, rows, x2);
+            }
+            if C >= 4 {
+                rows_mul_add(a3, rows, x3);
+            }
+        }
+        let m = self.rows;
+        for (c, ac) in acc.iter().take(C).enumerate() {
+            let at = (j + c) * m + r0;
+            self.data[at..at + h].copy_from_slice(&ac[..h]);
+        }
+    }
+
     /// Elementwise `self - rhs`.
     pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.shape() != rhs.shape() {
@@ -329,6 +434,14 @@ impl Matrix {
         Matrix { rows: self.rows, cols: k, data }
     }
 
+    /// Keep only the first `k` columns, in place (the storage is
+    /// column-major, so this drops the buffer's tail and copies nothing).
+    pub fn truncate_columns(&mut self, k: usize) {
+        assert!(k <= self.cols, "cannot keep {k} of a {}-column matrix's columns", self.cols);
+        self.data.truncate(k * self.rows);
+        self.cols = k;
+    }
+
     /// Swap columns `i` and `j` in place.
     pub fn swap_columns(&mut self, i: usize, j: usize) {
         if i == j {
@@ -369,6 +482,14 @@ impl Matrix {
         }
         let max = lanes.into_iter().max().unwrap_or(0);
         (max < f64::INFINITY.to_bits()).then(|| f64::from_bits(max))
+    }
+}
+
+/// `a[r] += rows[r] · x` on every row of one panel column.
+#[inline(always)]
+fn rows_mul_add(a: &mut [f64; PRODUCT_PANEL_ROWS], rows: &[f64; PRODUCT_PANEL_ROWS], x: f64) {
+    for r in 0..PRODUCT_PANEL_ROWS {
+        a[r] += rows[r] * x;
     }
 }
 

@@ -794,9 +794,13 @@ mod tests {
         run(&args(&["svd", &mp, "--stats", &sp])).unwrap();
         let full = std::fs::read_to_string(&sp).unwrap();
         assert!(full.trim_start().starts_with('{') && full.contains("\"rotations_applied\":"));
+        assert!(
+            full.contains("\"columns_seconds\":") && !full.contains("\"columns_seconds\":0.0,")
+        );
         run(&args(&["svd", &mp, "--values-only", "--stats", &sp])).unwrap();
         let vo = std::fs::read_to_string(&sp).unwrap();
         assert!(vo.contains("\"sweeps\":") && vo.contains("\"gram_bytes\":"));
+        assert!(vo.contains("\"columns_seconds\":0.0,"), "values-only forms no columns");
         run(&args(&["svd", &mp, "--stats", "-"])).unwrap(); // stdout path
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -19,6 +19,9 @@
 //!   `GramState::from_matrix` (its thread split) store, for every entry,
 //!   **bitwise** the `ops::dot(col i, col j)` of the per-entry build they
 //!   replaced, at any shape and any pool size.
+//! * `Matrix::matmul_in_place` (row panels, register tiles) stores, for
+//!   every entry, **bitwise** the scalar sum over `k` in order, from zero,
+//!   of `b[r, k]·v[k, j]`, whatever the panel and tile edges.
 //!
 //! All strategies span twelve orders of magnitude in the norms (1e-6..1e6),
 //! like the scalar rotation proptests.
@@ -52,6 +55,30 @@ impl<S: Strategy> Strategy for VecOf<S> {
 fn gram_reference_bits(a: &Matrix) -> Vec<u64> {
     let n = a.cols();
     (0..n).flat_map(|i| (i..n).map(move |j| ops::dot(a.col(i), a.col(j)).to_bits())).collect()
+}
+
+/// Bits of `b · v`, column-major, each entry summed over `k` in order from
+/// zero: the reference the in-place column product must reproduce.
+fn product_reference_bits(b: &Matrix, v: &Matrix) -> Vec<u64> {
+    let (m, n) = b.shape();
+    let mut out = Vec::with_capacity(m * n);
+    for j in 0..n {
+        for r in 0..m {
+            let mut s = 0.0;
+            for k in 0..n {
+                s += b.get(r, k) * v.get(k, j);
+            }
+            out.push(s.to_bits());
+        }
+    }
+    out
+}
+
+/// `b ← b · v` through the in-place kernel, as bits.
+fn product_bits(b: &Matrix, v: &Matrix) -> Vec<u64> {
+    let mut out = b.clone();
+    out.matmul_in_place(v).unwrap();
+    out.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 fn bits(d: &PackedSymmetric) -> Vec<u64> {
@@ -196,6 +223,38 @@ proptest! {
         let a = gen::uniform(GRAM_ROWS[pick], n, seed);
         prop_assert_eq!(bits(&a.gram()), gram_reference_bits(&a), "{}x{}", a.rows(), n);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    #[test]
+    fn column_product_is_bitwise_the_ordered_sum(
+        m in 1usize..70,
+        n in 1usize..20,
+        seed in 0u64..1000,
+    ) {
+        // m up to 69 leaves ragged 16-row panels, n up to 19 ragged
+        // 4-column tiles; m < n and n = 1 are in range.
+        let b = gen::uniform(m, n, seed);
+        let v = gen::uniform(n, n, seed + 1);
+        prop_assert_eq!(product_bits(&b, &v), product_reference_bits(&b, &v), "{}x{}", m, n);
+    }
+}
+
+/// Panel and tile edges named one by one, plus a matrix wider than the
+/// product's stack panel (its heap path).
+#[test]
+fn column_product_covers_panel_and_tile_edges() {
+    let shapes = [(16, 4), (32, 8), (17, 5), (15, 3), (1, 1), (40, 1), (3, 9), (2, 37), (40, 300)];
+    for (m, n) in shapes {
+        let b = gen::uniform(m, n, (m * n) as u64);
+        let v = gen::random_orthonormal(n, n, (m + n) as u64);
+        assert_eq!(product_bits(&b, &v), product_reference_bits(&b, &v), "{m}x{n}");
+    }
+    let mut b = gen::uniform(4, 3, 1);
+    assert!(b.matmul_in_place(&Matrix::zeros(3, 4)).is_err(), "V must be square");
+    assert!(b.matmul_in_place(&Matrix::zeros(4, 4)).is_err(), "V must match B's columns");
 }
 
 /// Past 256 columns a tile pair no longer spans a whole triangle row, so

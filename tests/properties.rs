@@ -323,10 +323,10 @@ proptest! {
 
     #[test]
     fn presort_folds_the_permutation_into_v_bit_exactly(seed in 0u64..60, n in 2usize..12) {
-        // The de Rijk presort is "cyclic on the column-permuted matrix with
-        // the permutation folded into V's starting value" — so against a
-        // manual permute-then-cyclic solve it must reproduce U and σ bit for
-        // bit, and V row-permuted by the same permutation, with no undo pass.
+        // The de Rijk presort is "cyclic on the column-permuted matrix, with
+        // V's rows put back in input order" — so against a manual
+        // permute-then-cyclic solve it must reproduce U and σ bit for bit,
+        // and V row-permuted by the same permutation.
         use hjsvd::matrix::{ops, Matrix};
         let m = 2 * n + 3;
         let a = gen::uniform(m, n, seed);
@@ -375,26 +375,41 @@ proptest! {
     ) {
         // The ordering refactor moved plan construction behind
         // OrderingStrategy + PlanBuffers; the default cyclic schedule must
-        // still produce the exact bits of the pre-refactor fixed
-        // round_robin(n) sweep loop on the sweep engine (the only one).
-        use hjsvd::core::convergence::{is_converged, Convergence, MAX_SWEEP_CAP};
-        use hjsvd::core::sweep::sweep_full;
+        // still produce the exact bits of the fixed round_robin(n) plan run
+        // by the one sweep loop on a full target (the sweep engine is the
+        // only one).
+        use hjsvd::core::convergence::{Convergence, MAX_SWEEP_CAP};
+        use hjsvd::core::engine::Sequential;
+        use hjsvd::core::{PairGuard, RotationTarget, SolveDriver, SweepState};
         use hjsvd::matrix::{ops, Matrix};
         let m = 2 * n + 3;
         let a = gen::uniform(m, n, seed);
+        let order = round_robin(n);
+        let driver = SolveDriver { convergence: Convergence::default(), max_sweeps: MAX_SWEEP_CAP };
 
         let mut b = a.clone();
         let mut g = GramState::from_matrix(&b);
         let mut v = Matrix::identity(n);
-        let order = round_robin(n);
-        let crit = Convergence::default();
-        let mut sweeps = 0usize;
-        while sweeps < MAX_SWEEP_CAP {
-            sweeps += 1;
-            let rec = sweep_full(&mut b, &mut g, Some(&mut v), &order, sweeps);
-            if is_converged(&crit, &rec, g.trace(), n) {
-                break;
-            }
+        let mut state = SweepState {
+            gram: &mut g,
+            target: RotationTarget::full(&mut b, &mut v),
+            guard: PairGuard::default(),
+        };
+        let (history, _) = driver.run(&mut Sequential, &mut state, &order);
+
+        // Deferring B = A·V leaves V's bits alone: a loop that rotates only
+        // D and V (no columns at all) accumulates the very same V.
+        let mut g_acc = GramState::from_matrix(&a);
+        let mut v_acc = Matrix::identity(n);
+        let mut state = SweepState {
+            gram: &mut g_acc,
+            target: RotationTarget::accumulate(&mut v_acc),
+            guard: PairGuard::default(),
+        };
+        let (history_acc, _) = driver.run(&mut Sequential, &mut state, &order);
+        prop_assert_eq!(&history_acc, &history);
+        for (x, y) in v.as_slice().iter().zip(v_acc.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "unsorted V bits differ");
         }
 
         let svd = HestenesSvd::new(SvdOptions {
@@ -403,7 +418,7 @@ proptest! {
         })
         .decompose(&a)
         .unwrap();
-        prop_assert_eq!(svd.sweeps, sweeps, "sweep count changed");
+        prop_assert_eq!(svd.sweeps, history.len(), "sweep count changed");
 
         let mut idx: Vec<usize> = (0..n).collect();
         let col_norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();

@@ -2,17 +2,20 @@
 //! worker loop and the SoA batch engine.
 //!
 //! A counting global allocator wraps `System`; sweeps — gram-only and full
-//! (B, Gram, V) — must perform **zero** heap allocations: every rotation
-//! updates `D` and the columns in place. This is the software analogue of
+//! (Gram and V, with B carried along) — must perform **zero** heap
+//! allocations: every rotation updates `D` and `V` in place, and the
+//! once-per-solve column product `B ← B·V` works in place on a stack panel.
+//! This is the software analogue of
 //! the paper's fixed BRAM budget: the FPGA design claims all
 //! covariance/column storage up front and reuses it every sweep.
 //!
 //! Lives in the root package (not hj-core) because hj-core carries
 //! `#![forbid(unsafe_code)]` and a `GlobalAlloc` impl requires unsafe.
 
-use hjsvd::core::ordering::round_robin;
-use hjsvd::core::sweep::{sweep_full, sweep_gram_only};
-use hjsvd::core::GramState;
+use hjsvd::core::engine::Sequential;
+use hjsvd::core::ordering::{round_robin, Sweep};
+use hjsvd::core::sweep::sweep_gram_only;
+use hjsvd::core::{GramState, PairGuard, RotationTarget, SweepEngine, SweepState};
 use hjsvd::matrix::{gen, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,6 +81,14 @@ fn min_alloc_delta(mut f: impl FnMut()) -> usize {
     best
 }
 
+/// One `Sequential` sweep over a full-SVD target: `D` and `V` rotate while
+/// `B` rides along untouched (the driver forms `B·V` after the loop).
+fn full_sweep(b: &mut Matrix, gram: &mut GramState, v: &mut Matrix, order: &Sweep, s: usize) {
+    let mut state =
+        SweepState { gram, target: RotationTarget::full(b, v), guard: PairGuard::default() };
+    Sequential.sweep(&mut state, order, s);
+}
+
 #[test]
 fn gram_sweeps_allocate_nothing_after_warmup() {
     let _guard = serial_guard();
@@ -105,16 +116,35 @@ fn full_sweeps_allocate_nothing_after_warmup() {
     let mut v = Matrix::identity(b.cols());
     let order = round_robin(gram.dim());
 
-    sweep_full(&mut b, &mut gram, Some(&mut v), &order, 1);
+    full_sweep(&mut b, &mut gram, &mut v, &order, 1);
 
     let mut s = 1;
     let delta = min_alloc_delta(|| {
         for _ in 0..3 {
             s += 1;
-            sweep_full(&mut b, &mut gram, Some(&mut v), &order, s);
+            full_sweep(&mut b, &mut gram, &mut v, &order, s);
         }
     });
     assert_eq!(delta, 0, "steady-state full sweeps allocated {delta} times");
+}
+
+#[test]
+fn column_product_allocates_nothing_after_warmup() {
+    // The full mode's once-per-solve `B ← B·V` gathers each row panel into
+    // a stack buffer and writes the product back into `B`: no heap at all,
+    // on panel-aligned and ragged shapes alike.
+    let _guard = serial_guard();
+    for (m, n) in [(64usize, 16usize), (301, 37), (5, 9)] {
+        let mut b = gen::uniform(m, n, 19);
+        let v = gen::random_orthonormal(n, n, 23);
+        b.matmul_in_place(&v).unwrap();
+        let delta = min_alloc_delta(|| {
+            for _ in 0..3 {
+                b.matmul_in_place(&v).unwrap();
+            }
+        });
+        assert_eq!(delta, 0, "the {m}x{n} column product allocated {delta} times");
+    }
 }
 
 #[test]
@@ -209,8 +239,8 @@ fn batch_workspace_solves_allocate_only_results_after_warmup() {
 #[test]
 fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
     // A warm process switching to a NEW problem: the first sweep of each
-    // problem must cost no more than its later sweeps. Sweeps rotate `D`,
-    // `B` and `V` in place, so the per-problem warm-up is zero allocation
+    // problem must cost no more than its later sweeps. Sweeps rotate `D`
+    // and `V` in place, so the per-problem warm-up is zero allocation
     // events (measured; the bound is pinned there), and every subsequent
     // sweep of the same problem allocates exactly zero too.
     let _guard = serial_guard();
@@ -229,7 +259,7 @@ fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
         for _ in 0..5 {
             let (mut fb, mut fg, mut fv) = (b.clone(), gram.clone(), v.clone());
             let before = allocation_count();
-            sweep_full(&mut fb, &mut fg, Some(&mut fv), &order, 1);
+            full_sweep(&mut fb, &mut fg, &mut fv, &order, 1);
             warmup = warmup.min(allocation_count() - before);
             if warmup == 0 {
                 break;
@@ -239,12 +269,12 @@ fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
         assert!(warmup <= bound, "warm-up on {m}x{n} allocated {warmup} times (> {bound})");
 
         // Steady state: zero allocations per sweep.
-        sweep_full(&mut b, &mut gram, Some(&mut v), &order, 1);
+        full_sweep(&mut b, &mut gram, &mut v, &order, 1);
         let mut s = 1;
         let delta = min_alloc_delta(|| {
             for _ in 0..3 {
                 s += 1;
-                sweep_full(&mut b, &mut gram, Some(&mut v), &order, s);
+                full_sweep(&mut b, &mut gram, &mut v, &order, s);
             }
         });
         assert_eq!(delta, 0, "steady-state sweeps on {m}x{n} allocated {delta} times");
