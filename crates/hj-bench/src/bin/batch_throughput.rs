@@ -23,7 +23,7 @@
 //! run's acceptance bar, recorded in BENCH_batch.json, is 5x).
 
 use hj_bench::{has_flag, measure, print_table};
-use hj_core::{BatchWorkspace, HestenesSvd, SvdOptions};
+use hj_core::{BatchDriver, BatchWorkspace, HestenesSvd, SvdOptions};
 use hj_matrix::gen;
 use hj_matrix::Matrix;
 
@@ -121,8 +121,10 @@ fn run_point(n: usize, reps: usize) -> Point {
         .into_iter()
         .map(|r| r.expect("benchmark corpus is well-formed"))
         .collect();
-    let soa: Vec<_> = solver
-        .singular_values_batch_soa(&mats)
+    let driver = BatchDriver::new(&solver);
+    let mut ws = BatchWorkspace::new();
+    let soa: Vec<_> = driver
+        .solve(&mut ws, &mats)
         .into_iter()
         .map(|r| r.expect("benchmark corpus is well-formed"))
         .collect();
@@ -141,9 +143,8 @@ fn run_point(n: usize, reps: usize) -> Point {
             r.expect("benchmark corpus is well-formed");
         }
     });
-    let mut ws = BatchWorkspace::new();
     let soa_seconds = measure(reps, || {
-        for r in solver.singular_values_batch_soa_with_workspace(&mats, &mut ws) {
+        for r in driver.solve(&mut ws, &mats) {
             r.expect("benchmark corpus is well-formed");
         }
     });

@@ -32,7 +32,8 @@
 
 use hj_bench::{fmt_secs, print_table};
 use hj_core::{
-    HestenesSvd, Ordering, RingBufferSink, SvdOptions, ThresholdSchedule, TraceEvent, TraceLevel,
+    HestenesSvd, Ordering, RingBufferSink, SolveRequest, SvdOptions, ThresholdSchedule, TraceEvent,
+    TraceLevel,
 };
 use hj_matrix::gen;
 
@@ -91,7 +92,6 @@ fn run_one(
     let solver = HestenesSvd::new(SvdOptions {
         ordering,
         threshold: threshold.then(ThresholdSchedule::default),
-        trace: TraceLevel::Sweep,
         ..SvdOptions::default()
     });
     // Sweep level emits 3 events per sweep (start, end, convergence check)
@@ -102,7 +102,8 @@ fn run_one(
     } else {
         ordering.name().to_string()
     };
-    let sv = match solver.singular_values_traced(a, &mut sink) {
+    let req = SolveRequest::default().with_trace(&mut sink, TraceLevel::Sweep);
+    let sv = match solver.singular_values_with(a, req) {
         Ok(sv) => sv,
         Err(e) => {
             eprintln!("FAIL n={n} ordering={label}: {e}");

@@ -19,8 +19,9 @@
 //!   instead of allocating a fresh one per matrix. Pooling is transparent:
 //!   a warm workspace computes the same bits as a cold one.
 
+use crate::batch_engine::{soa_eligible, BatchDriver, BatchWorkspace};
 use crate::ordering::SweepWorkspace;
-use crate::svd::{HestenesSvd, SingularValues, Svd};
+use crate::svd::{HestenesSvd, SingularValues, SolveRequest, Svd};
 use crate::SvdError;
 use hj_matrix::Matrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,33 +84,37 @@ impl HestenesSvd {
     /// assert!(results.iter().all(|r| r.is_ok()));
     /// ```
     pub fn decompose_batch(&self, mats: &[Matrix]) -> Vec<Result<Svd, SvdError>> {
-        self.decompose_batch_pooled(mats, &WorkspacePool::new())
+        self.batch(mats, &WorkspacePool::new(), |m, ws| {
+            self.decompose_with(m, SolveRequest::default().with_workspace(ws))
+        })
     }
 
-    /// [`HestenesSvd::decompose_batch`] drawing scratch from a caller-owned
-    /// pool — reuse one pool across repeated batches to keep the workspaces
-    /// warm between calls.
-    pub fn decompose_batch_pooled(
+    /// Values-only counterpart of [`HestenesSvd::decompose_batch`], on
+    /// fresh SoA scratch (see
+    /// [`HestenesSvd::singular_values_batch_with_workspace`] for the
+    /// dispatch).
+    pub fn singular_values_batch(&self, mats: &[Matrix]) -> Vec<Result<SingularValues, SvdError>> {
+        self.singular_values_batch_with_workspace(mats, &mut BatchWorkspace::new())
+    }
+
+    /// [`HestenesSvd::singular_values_batch`] over caller-owned SoA
+    /// scratch. Uniform-shape batches of small problems (`2 ≤ n ≤ 32`,
+    /// default cyclic ordering, no threshold ramp) run the batched SoA
+    /// engine ([`BatchDriver::solve`]) on `ws`, which sweeps every problem
+    /// together — same per-slot error isolation, results within the
+    /// documented `1e-12·σ_max` envelope of the looped path. Everything
+    /// else (mixed shapes, larger problems, other orderings or a threshold
+    /// ramp) takes [`HestenesSvd::singular_values_batch_looped`], which
+    /// stays bit-identical to one-at-a-time solves and manages its own
+    /// scalar workspaces. Long-lived servers keep one warm
+    /// [`BatchWorkspace`] per worker and route every bulk job through this.
+    pub fn singular_values_batch_with_workspace(
         &self,
         mats: &[Matrix],
-        pool: &WorkspacePool,
-    ) -> Vec<Result<Svd, SvdError>> {
-        self.batch(mats, pool, |m, ws| self.decompose_with_workspace(m, ws))
-    }
-
-    /// Values-only counterpart of [`HestenesSvd::decompose_batch`].
-    ///
-    /// Uniform-shape batches of small problems (`2 ≤ n ≤ 32`, default
-    /// cyclic ordering) dispatch to the batched SoA
-    /// engine ([`HestenesSvd::singular_values_batch_soa`]), which sweeps
-    /// every problem together — same per-slot error isolation, results
-    /// within the documented `1e-12·σ_max` envelope of the looped path.
-    /// Everything else (mixed shapes, larger problems, non-default ordering
-    /// or threshold configurations) takes the looped per-matrix path, which
-    /// stays bit-identical to one-at-a-time solves.
-    pub fn singular_values_batch(&self, mats: &[Matrix]) -> Vec<Result<SingularValues, SvdError>> {
-        if crate::batch_engine::soa_eligible(self, mats) {
-            return self.singular_values_batch_soa(mats);
+        ws: &mut BatchWorkspace,
+    ) -> Vec<Result<SingularValues, SvdError>> {
+        if soa_eligible(self, mats) {
+            return BatchDriver::new(self).solve(ws, mats);
         }
         self.singular_values_batch_looped(mats)
     }
@@ -123,17 +128,7 @@ impl HestenesSvd {
         &self,
         mats: &[Matrix],
     ) -> Vec<Result<SingularValues, SvdError>> {
-        self.singular_values_batch_pooled(mats, &WorkspacePool::new())
-    }
-
-    /// [`HestenesSvd::singular_values_batch`] drawing scratch from a
-    /// caller-owned pool.
-    pub fn singular_values_batch_pooled(
-        &self,
-        mats: &[Matrix],
-        pool: &WorkspacePool,
-    ) -> Vec<Result<SingularValues, SvdError>> {
-        self.batch(mats, pool, |m, ws| self.singular_values_with_workspace(m, ws))
+        self.batch(mats, &WorkspacePool::new(), |m, ws| self.singular_values_with_workspace(m, ws))
     }
 
     fn batch<T, F>(
@@ -177,6 +172,17 @@ mod tests {
     use super::*;
     use crate::{Convergence, SvdOptions};
     use hj_matrix::gen;
+
+    /// [`HestenesSvd::decompose_batch`]'s fan-out over a caller-owned pool.
+    fn decompose_pooled(
+        solver: &HestenesSvd,
+        mats: &[Matrix],
+        pool: &WorkspacePool,
+    ) -> Vec<Result<Svd, SvdError>> {
+        solver.batch(mats, pool, |m, ws| {
+            solver.decompose_with(m, SolveRequest::default().with_workspace(ws))
+        })
+    }
 
     fn mixed_batch() -> Vec<Matrix> {
         vec![
@@ -263,7 +269,7 @@ mod tests {
         let faulty = HestenesSvd::new(SvdOptions::default())
             .with_budget(crate::SolveBudget::with_deadline(expired))
             .with_recovery_policy(crate::RecoveryPolicy::abort_only());
-        let batch = faulty.decompose_batch_pooled(&mats, &pool);
+        let batch = decompose_pooled(&faulty, &mats, &pool);
         for (k, res) in batch.iter().enumerate() {
             assert!(
                 matches!(res, Err(SvdError::SolveFault { .. })),
@@ -272,8 +278,8 @@ mod tests {
         }
         // Same pool, healthy solver: bit-identical to a fresh pool.
         let clean = HestenesSvd::new(SvdOptions::default());
-        let reused = clean.decompose_batch_pooled(&mats, &pool);
-        let fresh = clean.decompose_batch_pooled(&mats, &WorkspacePool::new());
+        let reused = decompose_pooled(&clean, &mats, &pool);
+        let fresh = decompose_pooled(&clean, &mats, &WorkspacePool::new());
         for (k, (r, f)) in reused.iter().zip(&fresh).enumerate() {
             let r = r.as_ref().expect("healthy solve");
             let f = f.as_ref().expect("healthy solve");
@@ -321,12 +327,12 @@ mod tests {
         let mats: Vec<_> = (0..64).map(|k| gen::uniform(12, 5, 300 + k)).collect();
         let solver = HestenesSvd::new(SvdOptions::default());
         let pool = WorkspacePool::new();
-        solver.decompose_batch_pooled(&mats, &pool);
+        decompose_pooled(&solver, &mats, &pool);
         let cap = rayon::current_num_threads().max(1).min(mats.len());
         assert!(pool.created() <= cap, "created {} workspaces for a cap of {cap}", pool.created());
         assert_eq!(pool.available(), pool.created());
         let created = pool.created();
-        solver.decompose_batch_pooled(&mats, &pool);
+        decompose_pooled(&solver, &mats, &pool);
         assert_eq!(pool.created(), created, "warm pool must not re-create workspaces");
     }
 
@@ -345,7 +351,7 @@ mod tests {
         let mats: Vec<_> = (0..8).map(|k| gen::uniform(18, 7, 100 + k)).collect();
         let solver = HestenesSvd::new(SvdOptions::default());
         let pool = WorkspacePool::new();
-        let pooled = solver.decompose_batch_pooled(&mats, &pool);
+        let pooled = decompose_pooled(&solver, &mats, &pool);
         assert!(pool.created() >= 1);
         assert!(
             pool.created() <= rayon::current_num_threads().max(1),
@@ -355,7 +361,8 @@ mod tests {
         );
         assert_eq!(pool.available(), pool.created(), "all workspaces checked back in");
         // A second batch over the same pool creates nothing new.
-        let again = solver.singular_values_batch_pooled(&mats, &pool);
+        let again =
+            solver.batch(&mats, &pool, |m, ws| solver.singular_values_with_workspace(m, ws));
         assert_eq!(pool.available(), pool.created());
         for (k, res) in pooled.iter().enumerate() {
             let one = solver.decompose(&mats[k]).unwrap();

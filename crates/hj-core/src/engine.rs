@@ -306,8 +306,6 @@ pub struct SolveMonitor<'a> {
     /// `fault-injection` feature.
     #[cfg(feature = "fault-injection")]
     pub injector: Option<&'a mut dyn crate::inject::FaultInjector>,
-    #[cfg(not(feature = "fault-injection"))]
-    _marker: std::marker::PhantomData<&'a mut ()>,
 }
 
 impl std::fmt::Debug for SolveMonitor<'_> {
@@ -331,8 +329,6 @@ impl<'a> SolveMonitor<'a> {
             trace_level: TraceLevel::Off,
             #[cfg(feature = "fault-injection")]
             injector: None,
-            #[cfg(not(feature = "fault-injection"))]
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -347,13 +343,6 @@ impl<'a> SolveMonitor<'a> {
     /// disabled health check — byte-for-byte the unmonitored pipeline.
     pub fn passive() -> SolveMonitor<'static> {
         SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::disabled())
-    }
-
-    /// Attach a fault injector (test harness only).
-    #[cfg(feature = "fault-injection")]
-    pub fn with_injector(mut self, injector: &'a mut dyn crate::inject::FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
     }
 }
 

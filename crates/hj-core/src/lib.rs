@@ -59,7 +59,10 @@
 //!   out of production builds entirely.
 //! * [`svd`] — user-facing drivers: [`HestenesSvd::singular_values`]
 //!   (paper-faithful, D-only after the first pass) and
-//!   [`HestenesSvd::decompose`] (full `A = UΣVᵀ`).
+//!   [`HestenesSvd::decompose`] (full `A = UΣVᵀ`), plus their
+//!   [`HestenesSvd::singular_values_with`] / [`HestenesSvd::decompose_with`]
+//!   forms taking one [`SolveRequest`] (warm workspace, trace sink and
+//!   level, fault injector — each optional).
 //! * [`pca`], [`lowrank`] — the downstream applications the paper
 //!   motivates: PCA (fit/transform/explained variance) and low-rank /
 //!   pseudoinverse / least-squares utilities.
@@ -117,7 +120,7 @@ pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, RecoveryAction, RecoveryPolicy, SolveBudget};
 pub use rotation::{hardware_params, textbook_params, Rotation};
 pub use stats::SolveStats;
-pub use svd::{HestenesSvd, SingularValues, Svd, SvdOptions};
+pub use svd::{HestenesSvd, SingularValues, SolveRequest, Svd, SvdOptions};
 pub use trace::{
     JsonlSink, NoopSink, RingBufferSink, SkipReason, TraceEvent, TraceLevel, TraceSink, Tracer,
 };

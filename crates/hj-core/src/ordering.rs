@@ -622,8 +622,8 @@ impl PlanBuffers {
     }
 }
 
-/// Reusable per-solve scratch for [`crate::HestenesSvd`]'s
-/// `*_with_workspace` entry points: the pooled [`PlanBuffers`], so a warm
+/// Reusable per-solve scratch, handed to a solve through
+/// [`crate::SolveRequest::with_workspace`]: the pooled [`PlanBuffers`], so a warm
 /// workspace replans every later solve — of any shape — without
 /// reallocating. The sweeps themselves rotate in place and need no scratch.
 /// Results are bit-identical with a fresh or a reused workspace.

@@ -41,14 +41,6 @@ const SAFE_EXP: i32 = 250;
 /// range, so the scaling is applied in two exact half-steps.
 const EXP2_STEP_LIMIT: i32 = 900;
 
-/// The injector slot threaded through the guarded solve. Without the
-/// `fault-injection` feature the alias degenerates to an uninhabited option,
-/// so the production call sites pass `None` and the whole hook folds away.
-#[cfg(feature = "fault-injection")]
-type InjectorSlot<'a> = Option<&'a mut dyn crate::inject::FaultInjector>;
-#[cfg(not(feature = "fault-injection"))]
-type InjectorSlot<'a> = Option<std::convert::Infallible>;
-
 /// Binary exponent of `max_abs` (0 for zero or non-finite input).
 fn max_exponent(max_abs: f64) -> i32 {
     if max_abs > 0.0 && max_abs.is_finite() {
@@ -119,14 +111,10 @@ pub(crate) fn unscale_values(values: &mut [f64], k: i32) {
 /// syntax:
 ///
 /// ```
-/// use hj_core::{HestenesSvd, Ordering, SvdOptions, TraceLevel};
+/// use hj_core::{HestenesSvd, Ordering, SvdOptions};
 /// use hj_matrix::gen;
 ///
-/// let options = SvdOptions {
-///     ordering: Ordering::SortedGreedy,
-///     trace: TraceLevel::Sweep,
-///     ..Default::default()
-/// };
+/// let options = SvdOptions { ordering: Ordering::SortedGreedy, ..Default::default() };
 /// let svd = HestenesSvd::new(options).decompose(&gen::uniform(30, 8, 1)).unwrap();
 /// assert_eq!(svd.stats.ordering, "greedy");
 /// ```
@@ -145,14 +133,6 @@ pub struct SvdOptions {
     /// ordering. `None` (the default) keeps the standard fixed pair guard —
     /// and the bit-identical default solve path.
     pub threshold: Option<ThresholdSchedule>,
-    /// Event granularity for the `*_traced` entry points
-    /// ([`HestenesSvd::decompose_traced`],
-    /// [`HestenesSvd::singular_values_traced`]). Ignored — and costless — on
-    /// the untraced entry points, which never construct events regardless of
-    /// this setting. Default: [`TraceLevel::Off`] (a traced call promotes
-    /// `Off` to [`TraceLevel::Sweep`] so an explicitly-passed sink is never
-    /// silently ignored).
-    pub trace: TraceLevel,
 }
 
 impl Default for SvdOptions {
@@ -162,7 +142,6 @@ impl Default for SvdOptions {
             max_sweeps: MAX_SWEEP_CAP,
             ordering: Ordering::RoundRobin,
             threshold: None,
-            trace: TraceLevel::Off,
         }
     }
 }
@@ -175,18 +154,68 @@ impl SvdOptions {
             max_sweeps: 6,
             ordering: Ordering::RoundRobin,
             threshold: None,
-            trace: TraceLevel::Off,
         }
     }
+}
 
-    /// The level a `*_traced` entry point runs at: the configured level,
-    /// with [`TraceLevel::Off`] promoted to [`TraceLevel::Sweep`].
-    fn effective_trace_level(&self) -> TraceLevel {
-        if self.trace == TraceLevel::Off {
-            TraceLevel::Sweep
-        } else {
-            self.trace
-        }
+/// The per-call extras of one solve, all optional and set by the `with_*`
+/// builders: caller-owned scratch, a trace sink with its level, and (under
+/// the `fault-injection` feature only) a fault injector.
+/// [`SolveRequest::default`] is the plain solve. Any combination computes
+/// the same bits as the plain solve — a workspace only saves reallocating,
+/// a sink only observes — unless the injector corrupts the run.
+///
+/// ```
+/// use hj_core::{HestenesSvd, RingBufferSink, SolveRequest, SvdOptions, SweepWorkspace};
+/// use hj_core::TraceLevel;
+/// use hj_matrix::gen;
+///
+/// let a = gen::uniform(40, 10, 3);
+/// let solver = HestenesSvd::new(SvdOptions::default());
+/// let mut ws = SweepWorkspace::new();
+/// let mut sink = RingBufferSink::new(1024);
+/// let req = SolveRequest::default()
+///     .with_workspace(&mut ws)
+///     .with_trace(&mut sink, TraceLevel::Sweep);
+/// let sv = solver.singular_values_with(&a, req).unwrap();
+/// assert_eq!(sv.values, solver.singular_values(&a).unwrap().values);
+/// assert!(sink.recorded() >= 2 * sv.sweeps, "start + end per sweep");
+/// ```
+#[derive(Default)]
+pub struct SolveRequest<'a> {
+    /// Scratch to plan in; `None` plans in a fresh [`SweepWorkspace`].
+    /// Reusing a warm one (e.g. from a [`crate::batch::WorkspacePool`])
+    /// replans without reallocating the ordering scratch.
+    workspace: Option<&'a mut SweepWorkspace>,
+    /// Sink receiving the solve's events up to the paired level, including
+    /// the recovery decisions between attempts; `None` (or
+    /// [`TraceLevel::Off`]) records nothing.
+    trace: Option<(&'a mut dyn TraceSink, TraceLevel)>,
+    /// Corruption hook called around every sweep of every attempt
+    /// (robustness test harness only — the field does not exist in
+    /// production builds).
+    #[cfg(feature = "fault-injection")]
+    injector: Option<&'a mut dyn crate::inject::FaultInjector>,
+}
+
+impl<'a> SolveRequest<'a> {
+    /// Plan in `ws` instead of a fresh workspace.
+    pub fn with_workspace(mut self, ws: &'a mut SweepWorkspace) -> Self {
+        self.workspace = Some(ws);
+        self
+    }
+
+    /// Stream the solve's events into `sink`, up to `level`.
+    pub fn with_trace(mut self, sink: &'a mut dyn TraceSink, level: TraceLevel) -> Self {
+        self.trace = Some((sink, level));
+        self
+    }
+
+    /// Attach a fault injector (test harness only).
+    #[cfg(feature = "fault-injection")]
+    pub fn with_injector(mut self, injector: &'a mut dyn crate::inject::FaultInjector) -> Self {
+        self.injector = Some(injector);
+        self
     }
 }
 
@@ -354,63 +383,29 @@ impl HestenesSvd {
     /// assert!((sv.values[0] - 4.0).abs() < 1e-9);
     /// ```
     pub fn singular_values(&self, a: &Matrix) -> Result<SingularValues, SvdError> {
-        let mut ws = SweepWorkspace::new();
-        self.singular_values_with_workspace(a, &mut ws)
+        self.singular_values_with(a, SolveRequest::default())
     }
 
-    /// [`Self::singular_values`] over caller-owned scratch. Reusing a warm
-    /// workspace across solves (e.g. from a [`crate::batch::WorkspacePool`])
-    /// replans without reallocating the ordering scratch; results are
-    /// bit-identical either way.
+    /// [`Self::singular_values`] over caller-owned scratch (see
+    /// [`SolveRequest::with_workspace`]); results are bit-identical either
+    /// way.
     pub fn singular_values_with_workspace(
         &self,
         a: &Matrix,
         ws: &mut SweepWorkspace,
     ) -> Result<SingularValues, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, ws, false, None, None)?;
-        self.finish_values(a, solved)
+        self.singular_values_with(a, SolveRequest::default().with_workspace(ws))
     }
 
-    /// [`Self::singular_values`] with every solve event streamed into
-    /// `sink` at the granularity of [`SvdOptions::trace`] ([`TraceLevel::Off`]
-    /// is promoted to [`TraceLevel::Sweep`]). Results are bit-identical to
-    /// the untraced call — events observe, never influence.
-    ///
-    /// ```
-    /// use hj_core::{HestenesSvd, RingBufferSink, SvdOptions};
-    /// use hj_matrix::gen;
-    ///
-    /// let a = gen::uniform(40, 10, 3);
-    /// let mut sink = RingBufferSink::new(1024);
-    /// let solver = HestenesSvd::new(SvdOptions::default());
-    /// let sv = solver.singular_values_traced(&a, &mut sink).unwrap();
-    /// let untraced = solver.singular_values(&a).unwrap();
-    /// assert_eq!(sv.values, untraced.values);
-    /// assert!(sink.recorded() >= 2 * sv.sweeps, "start + end per sweep");
-    /// ```
-    pub fn singular_values_traced(
+    /// [`Self::singular_values`] with the extras of `req`: a warm workspace,
+    /// a trace sink, an injector, in any combination.
+    pub fn singular_values_with(
         &self,
         a: &Matrix,
-        sink: &mut dyn TraceSink,
+        req: SolveRequest<'_>,
     ) -> Result<SingularValues, SvdError> {
         let max_abs = self.validate(a)?;
-        let mut ws = SweepWorkspace::new();
-        let solved = self.solve_guarded(a, max_abs, &mut ws, false, None, Some(sink))?;
-        self.finish_values(a, solved)
-    }
-
-    /// [`Self::singular_values`] with a fault injector attached (robustness
-    /// test harness only — the method does not exist in production builds).
-    #[cfg(feature = "fault-injection")]
-    pub fn singular_values_injected(
-        &self,
-        a: &Matrix,
-        ws: &mut SweepWorkspace,
-        injector: &mut dyn crate::inject::FaultInjector,
-    ) -> Result<SingularValues, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, ws, false, Some(injector), None)?;
+        let solved = self.solve_guarded(a, max_abs, false, req)?;
         self.finish_values(a, solved)
     }
 
@@ -426,28 +421,27 @@ impl HestenesSvd {
     /// cumulative `faults`/`recoveries`/`prescale_exp` accounting.
     /// `max_abs` is `a`'s largest absolute entry, as [`Self::validate`]
     /// returned it.
-    #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
-    fn solve_guarded<'a>(
+    fn solve_guarded(
         &self,
         a: &Matrix,
         max_abs: f64,
-        ws: &mut SweepWorkspace,
         full: bool,
-        injector: InjectorSlot<'a>,
-        trace: Option<&'a mut dyn TraceSink>,
+        req: SolveRequest<'_>,
     ) -> Result<GuardedSolve, SvdError> {
         let n = a.cols();
+        let mut fresh = SweepWorkspace::new();
+        let ws = req.workspace.unwrap_or(&mut fresh);
         // One monitor serves every attempt (run_monitored resets its own
         // per-attempt detector state); the injector moves in once and keeps
         // its one-shot bookkeeping across restarts, and the trace sink sees
         // every attempt's events plus the recovery decisions between them.
         let mut monitor = SolveMonitor::new(self.budget.clone(), self.health);
-        if let Some(sink) = trace {
-            monitor = monitor.with_trace(sink, self.options.effective_trace_level());
+        if let Some((sink, level)) = req.trace {
+            monitor = monitor.with_trace(sink, level);
         }
         #[cfg(feature = "fault-injection")]
         {
-            monitor.injector = injector;
+            monitor.injector = req.injector;
         }
         let mut exp = prescale_exponent(max_abs);
         let mut ordering = self.options.ordering;
@@ -600,59 +594,27 @@ impl HestenesSvd {
     /// sweeps converge, `B = A·V` is formed in one pass and `U = B·Σ⁻¹`
     /// (paper's eqs. (6)–(7)).
     pub fn decompose(&self, a: &Matrix) -> Result<Svd, SvdError> {
-        let mut ws = SweepWorkspace::new();
-        self.decompose_with_workspace(a, &mut ws)
+        self.decompose_with(a, SolveRequest::default())
     }
 
-    /// [`Self::decompose`] over caller-owned scratch. Reusing a warm
-    /// workspace across solves (e.g. from a [`crate::batch::WorkspacePool`])
-    /// replans without reallocating the ordering scratch; results are
-    /// bit-identical either way.
-    pub fn decompose_with_workspace(
-        &self,
-        a: &Matrix,
-        ws: &mut SweepWorkspace,
-    ) -> Result<Svd, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, ws, true, None, None)?;
-        self.finish_decompose(a, solved)
-    }
-
-    /// [`Self::decompose`] with every solve event streamed into `sink` at
-    /// the granularity of [`SvdOptions::trace`] ([`TraceLevel::Off`] is
-    /// promoted to [`TraceLevel::Sweep`]). Results are bit-identical to the
-    /// untraced call — events observe, never influence.
+    /// [`Self::decompose`] with the extras of `req`: a warm workspace, a
+    /// trace sink, an injector, in any combination.
     ///
     /// ```
-    /// use hj_core::{HestenesSvd, JsonlSink, SvdOptions};
+    /// use hj_core::{HestenesSvd, JsonlSink, SolveRequest, SvdOptions, TraceLevel};
     /// use hj_matrix::gen;
     ///
     /// let a = gen::uniform(30, 8, 11);
     /// let mut sink = JsonlSink::new(Vec::new());
     /// let svd = HestenesSvd::new(SvdOptions::default())
-    ///     .decompose_traced(&a, &mut sink)
+    ///     .decompose_with(&a, SolveRequest::default().with_trace(&mut sink, TraceLevel::Sweep))
     ///     .unwrap();
     /// let jsonl = String::from_utf8(sink.finish().unwrap()).unwrap();
     /// assert_eq!(jsonl.lines().filter(|l| l.contains("sweep_end")).count(), svd.sweeps);
     /// ```
-    pub fn decompose_traced(&self, a: &Matrix, sink: &mut dyn TraceSink) -> Result<Svd, SvdError> {
+    pub fn decompose_with(&self, a: &Matrix, req: SolveRequest<'_>) -> Result<Svd, SvdError> {
         let max_abs = self.validate(a)?;
-        let mut ws = SweepWorkspace::new();
-        let solved = self.solve_guarded(a, max_abs, &mut ws, true, None, Some(sink))?;
-        self.finish_decompose(a, solved)
-    }
-
-    /// [`Self::decompose`] with a fault injector attached (robustness test
-    /// harness only — the method does not exist in production builds).
-    #[cfg(feature = "fault-injection")]
-    pub fn decompose_injected(
-        &self,
-        a: &Matrix,
-        ws: &mut SweepWorkspace,
-        injector: &mut dyn crate::inject::FaultInjector,
-    ) -> Result<Svd, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, ws, true, Some(injector), None)?;
+        let solved = self.solve_guarded(a, max_abs, true, req)?;
         self.finish_decompose(a, solved)
     }
 
@@ -947,8 +909,9 @@ mod tests {
         let solver = HestenesSvd::new(SvdOptions::default());
         let cold = solver.decompose(&a).unwrap();
         let mut ws = SweepWorkspace::new();
-        solver.decompose_with_workspace(&a, &mut ws).unwrap();
-        let warm = solver.decompose_with_workspace(&a, &mut ws).unwrap();
+        solver.decompose_with(&a, SolveRequest::default().with_workspace(&mut ws)).unwrap();
+        let warm =
+            solver.decompose_with(&a, SolveRequest::default().with_workspace(&mut ws)).unwrap();
         assert_eq!(cold.singular_values, warm.singular_values);
         assert_eq!(cold.u.as_slice(), warm.u.as_slice());
         assert_eq!(cold.v.as_slice(), warm.v.as_slice());

@@ -15,8 +15,10 @@
 //!
 //! # Cost model
 //!
-//! Tracing is opt-in per call ([`crate::HestenesSvd::decompose_traced`]) and
-//! per level ([`TraceLevel`] in [`crate::SvdOptions`]). With no sink
+//! Tracing is opt-in per call: a [`crate::SolveRequest`] carries the sink
+//! together with its [`TraceLevel`] into
+//! [`crate::HestenesSvd::singular_values_with`] or
+//! [`crate::HestenesSvd::decompose_with`]. With no sink
 //! attached — or with [`NoopSink`] / [`TraceLevel::Off`] — the emission
 //! sites reduce to one branch on a cached level; no event is constructed,
 //! nothing allocates, and the solve is bit-identical to an untraced run
@@ -454,13 +456,13 @@ fn write_str(s: &mut String, key: &str, v: &str) {
 ///
 /// ```
 /// use hj_core::trace::{RingBufferSink, TraceLevel};
-/// use hj_core::{HestenesSvd, SvdOptions};
+/// use hj_core::{HestenesSvd, SolveRequest, SvdOptions};
 /// use hj_matrix::gen;
 ///
 /// let a = gen::uniform(30, 8, 7);
-/// let options = SvdOptions { trace: TraceLevel::Sweep, ..Default::default() };
 /// let mut sink = RingBufferSink::new(256);
-/// let svd = HestenesSvd::new(options).decompose_traced(&a, &mut sink).unwrap();
+/// let req = SolveRequest::default().with_trace(&mut sink, TraceLevel::Sweep);
+/// let svd = HestenesSvd::new(SvdOptions::default()).decompose_with(&a, req).unwrap();
 /// // One sweep_start + sweep_end + convergence_check triple per sweep.
 /// assert_eq!(sink.events().len(), 3 * svd.sweeps);
 /// ```

@@ -49,7 +49,7 @@
 
 use hjsvd::arch::{resource_usage, ArchConfig, HestenesJacobiArch};
 use hjsvd::core::{
-    eigh, HestenesSvd, JsonlSink, Ordering, Pca, SolveBudget, SvdError, SvdOptions,
+    eigh, HestenesSvd, JsonlSink, Ordering, Pca, SolveBudget, SolveRequest, SvdError, SvdOptions,
     ThresholdSchedule, TraceLevel,
 };
 use hjsvd::fpsim::resources::ChipCapacity;
@@ -328,6 +328,25 @@ fn close_trace(sink: JsonlSink<Box<dyn Write>>, path: &str) -> Result<(), CliErr
     w.flush().map_err(|e| CliError::io(format!("{path}: {e}")))
 }
 
+/// Run `solve` with the `--trace` sink, if any, in its request. The trace is
+/// flushed whether or not the solve succeeded, so a failed solve's events —
+/// its recovery decisions included — still reach the file; the solve's own
+/// error wins over a trace write error.
+fn traced_solve<T>(
+    trace: &Option<(String, TraceLevel)>,
+    solve: impl FnOnce(SolveRequest<'_>) -> Result<T, SvdError>,
+) -> Result<T, CliError> {
+    let Some((path, level)) = trace else {
+        return Ok(solve(SolveRequest::default())?);
+    };
+    let mut sink = open_trace(path)?;
+    let solved = solve(SolveRequest::default().with_trace(&mut sink, *level));
+    let closed = close_trace(sink, path);
+    let out = solved?;
+    closed?;
+    Ok(out)
+}
+
 /// Parse the `--ordering` option into an [`Ordering`] (default: cyclic).
 fn ordering_option(p: &ParsedArgs) -> Result<Ordering, CliError> {
     match p.opt("ordering") {
@@ -424,28 +443,14 @@ fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
     let threshold = p.flag("threshold-schedule").then(ThresholdSchedule::default);
     let timeout_ms: Option<u64> = p.opt_parse("timeout-ms").map_err(CliError::usage)?;
     let trace = trace_option(p)?;
-    let trace_level = trace.as_ref().map(|(_, l)| *l).unwrap_or(TraceLevel::Off);
-    let mut solver = HestenesSvd::new(SvdOptions {
-        ordering,
-        threshold,
-        trace: trace_level,
-        ..Default::default()
-    });
+    let mut solver = HestenesSvd::new(SvdOptions { ordering, threshold, ..Default::default() });
     if let Some(ms) = timeout_ms {
         solver = solver.with_budget(SolveBudget::with_timeout(Duration::from_millis(ms)));
     }
     let stats_path = p.opt("stats").map(str::to_string);
     let trace_owns_stdout = matches!(&trace, Some((tp, _)) if tp == "-");
     if p.flag("values-only") {
-        let sv = match &trace {
-            Some((tp, _)) => {
-                let mut sink = open_trace(tp)?;
-                let sv = solver.singular_values_traced(&a, &mut sink)?;
-                close_trace(sink, tp)?;
-                sv
-            }
-            None => solver.singular_values(&a)?,
-        };
+        let sv = traced_solve(&trace, |req| solver.singular_values_with(&a, req))?;
         println!("# {} singular values ({} sweeps)", sv.values.len(), sv.sweeps);
         for v in &sv.values {
             println!("{v}");
@@ -455,15 +460,7 @@ fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
         }
         return Ok(());
     }
-    let svd = match &trace {
-        Some((tp, _)) => {
-            let mut sink = open_trace(tp)?;
-            let svd = solver.decompose_traced(&a, &mut sink)?;
-            close_trace(sink, tp)?;
-            svd
-        }
-        None => solver.decompose(&a)?,
-    };
+    let svd = traced_solve(&trace, |req| solver.decompose_with(&a, req))?;
     if let Some(sp) = stats_path {
         emit_stats(&svd.stats, &sp, trace_owns_stdout)?;
     }
@@ -855,10 +852,19 @@ mod tests {
         std::fs::write(&bad, "1.0,2.0\nNaN,4.0\n").unwrap();
         let e = run(&args(&["svd", &bad])).unwrap_err();
         assert_eq!((e.code, e.kind), (4, "bad-input"));
-        // timeout: an already-expired deadline aborts before sweep one.
-        let e = run(&args(&["svd", &mp, "--timeout-ms", "0"])).unwrap_err();
+        // timeout: an already-expired deadline aborts before sweep one,
+        // and the trace of the failed solve still records the abort.
+        let tp = dir.join("timeout.jsonl").to_str().unwrap().to_string();
+        let e = run(&args(&["svd", &mp, "--timeout-ms", "0", "--trace", &tp])).unwrap_err();
         assert_eq!((e.code, e.kind), (8, "timeout"));
         assert!(e.message.contains("deadline"), "{}", e.message);
+        let trace = std::fs::read_to_string(&tp).unwrap();
+        assert!(
+            trace.lines().any(|l| l.starts_with("{\"event\":\"recovery_triggered\"")
+                && l.contains("\"fault\":\"deadline\"")
+                && l.contains("\"action\":\"abort\"")),
+            "no deadline abort in the trace: {trace}"
+        );
         // A generous timeout solves normally.
         run(&args(&["svd", &mp, "--timeout-ms", "60000"])).unwrap();
         run(&args(&["svd", &mp, "--values-only", "--timeout-ms", "60000"])).unwrap();
@@ -898,6 +904,10 @@ mod tests {
 
         // '-' streams to stdout without error.
         run(&args(&["svd", &mp, "--values-only", "--trace", "-"])).unwrap();
+
+        // Level off records nothing: the file is created and left empty.
+        run(&args(&["svd", &mp, "--values-only", "--trace", &tp, "--trace-level", "off"])).unwrap();
+        assert_eq!(std::fs::read_to_string(&tp).unwrap(), "", "level off wrote events");
         std::fs::remove_dir_all(&dir).ok();
     }
 

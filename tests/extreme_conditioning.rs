@@ -6,7 +6,7 @@
 //! factorization or fails loudly with a structured error. It never returns
 //! NaN, and it never returns silently wrong values.
 
-use hjsvd::core::{HestenesSvd, SvdOptions};
+use hjsvd::core::{BatchDriver, BatchWorkspace, HestenesSvd, SvdOptions};
 use hjsvd::matrix::{gen, Matrix};
 use proptest::prelude::*;
 
@@ -108,7 +108,8 @@ proptest! {
         let exps: Vec<i32> = column_exponents(seed, n).iter().map(|e| e / 2).collect();
         scale_columns(&mut a, &exps);
         let solver = HestenesSvd::new(SvdOptions::default());
-        let batch = solver.singular_values_batch_soa(&[a.clone(), a.clone()]);
+        let batch =
+            BatchDriver::new(&solver).solve(&mut BatchWorkspace::new(), &[a.clone(), a.clone()]);
         let spectra: Vec<Vec<f64>> = std::iter::once(solver.singular_values(&a))
             .chain(batch)
             .filter_map(|sv| sv.ok().map(|sv| sv.values))

@@ -9,8 +9,9 @@
 #![cfg(feature = "fault-injection")]
 
 use hjsvd::core::{
-    Corruption, Fault, HestenesSvd, RecoveryPolicy, SeededInjector, SolveBudget, SvdError,
-    SvdOptions, SweepWorkspace,
+    BatchDriver, BatchWorkspace, Corruption, Fault, HestenesSvd, RecoveryPolicy, RingBufferSink,
+    SeededInjector, SolveBudget, SolveRequest, SvdError, SvdOptions, SweepWorkspace, TraceEvent,
+    TraceLevel,
 };
 use hjsvd::matrix::{gen, norms};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,6 +20,11 @@ use std::time::Duration;
 
 fn solver() -> HestenesSvd {
     HestenesSvd::new(SvdOptions::default())
+}
+
+/// A request with `inj` attached.
+fn injected(inj: &mut SeededInjector) -> SolveRequest<'_> {
+    SolveRequest::default().with_injector(inj)
 }
 
 /// Recovered spectra must match the clean solve to `1e-10 · σ_max`.
@@ -35,17 +41,42 @@ fn transient_nan_gram_entry_is_recovered() {
     let a = gen::uniform(24, 8, 42);
     let s = solver();
     let clean = s.singular_values(&a).unwrap();
-    let mut ws = SweepWorkspace::new();
-    let mut inj =
-        SeededInjector::new(7).at_sweep(2, Corruption::GramEntry { i: 1, j: 4, value: f64::NAN });
+    let plan = || {
+        SeededInjector::new(7).at_sweep(2, Corruption::GramEntry { i: 1, j: 4, value: f64::NAN })
+    };
+    let mut inj = plan();
     let sv = s
-        .singular_values_injected(&a, &mut ws, &mut inj)
+        .singular_values_with(&a, injected(&mut inj))
         .unwrap_or_else(|e| panic!("transient NaN must be recovered, got {e}"));
     assert_eq!(inj.fired().len(), 1, "corruption fired once");
     assert_eq!(sv.stats.faults, 1, "one fault observed");
     assert!(sv.stats.recoveries >= 1, "at least one recovery");
     assert!(sv.values.iter().all(|v| v.is_finite()));
     assert_spectrum_close(&sv.values, &clean.values);
+
+    // The same corruption with a sink in the same request: the recovery
+    // decision is in the trace, and the spectrum is bitwise the untraced one.
+    let mut inj = plan();
+    let mut ring = RingBufferSink::new(4096);
+    let traced = s
+        .singular_values_with(&a, injected(&mut inj).with_trace(&mut ring, TraceLevel::Sweep))
+        .expect("traced transient NaN must be recovered too");
+    let recoveries: Vec<_> = ring
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::RecoveryTriggered { sweep, fault, action, .. } => {
+                Some((sweep, fault, action))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(recoveries, [(2, "non-finite-gram", "rescale-restart")]);
+    assert_eq!(
+        traced.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        sv.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "tracing perturbed the recovered spectrum"
+    );
 }
 
 #[test]
@@ -53,11 +84,10 @@ fn transient_negative_diagonal_is_recovered() {
     let a = gen::uniform(20, 6, 11);
     let s = solver();
     let clean = s.decompose(&a).unwrap();
-    let mut ws = SweepWorkspace::new();
     // A corrupted norm update: a squared column norm goes hard negative.
     let mut inj =
         SeededInjector::new(3).at_sweep(1, Corruption::GramEntry { i: 3, j: 3, value: -5.0 });
-    let svd = s.decompose_injected(&a, &mut ws, &mut inj).expect("transient fault must heal");
+    let svd = s.decompose_with(&a, injected(&mut inj)).expect("transient fault must heal");
     assert!(svd.stats.recoveries >= 1);
     assert_spectrum_close(&svd.singular_values, &clean.singular_values);
     assert!(svd.u.as_slice().iter().all(|v| v.is_finite()));
@@ -69,11 +99,10 @@ fn transient_negative_diagonal_is_recovered() {
 fn persistent_nan_aborts_with_non_finite_gram_fault() {
     let a = gen::uniform(18, 6, 5);
     let s = solver();
-    let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(9)
         .at_sweep(1, Corruption::GramEntry { i: 0, j: 2, value: f64::INFINITY })
         .persistent();
-    let err = s.singular_values_injected(&a, &mut ws, &mut inj).unwrap_err();
+    let err = s.singular_values_with(&a, injected(&mut inj)).unwrap_err();
     match err {
         SvdError::SolveFault { fault: Fault::NonFiniteGram { sweep }, recoveries, .. } => {
             // Detected within one sweep of firing, on the original attempt
@@ -94,11 +123,10 @@ fn persistent_bogus_rotation_never_returns_a_silent_answer() {
     let a = gen::uniform(20, 6, 17);
     let s = solver();
     let clean = s.singular_values(&a).unwrap();
-    let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(31)
         .at_sweep(1, Corruption::BogusRotation { i: 1, j: 3, cos: 1.0, sin: 1.0 })
         .persistent();
-    match s.singular_values_injected(&a, &mut ws, &mut inj) {
+    match s.singular_values_with(&a, injected(&mut inj)) {
         Err(SvdError::SolveFault { fault, .. }) => {
             assert!(
                 matches!(
@@ -123,9 +151,8 @@ fn persistent_bogus_rotation_never_returns_a_silent_answer() {
 fn slow_sweeps_trip_the_deadline() {
     let a = gen::uniform(30, 10, 23);
     let s = solver().with_budget(SolveBudget::with_timeout(Duration::from_millis(20)));
-    let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(1).at_sweep(1, Corruption::Delay { millis: 60 }).persistent();
-    let err = s.singular_values_injected(&a, &mut ws, &mut inj).unwrap_err();
+    let err = s.singular_values_with(&a, injected(&mut inj)).unwrap_err();
     match err {
         SvdError::SolveFault { fault: Fault::DeadlineExceeded { sweep }, recoveries, .. } => {
             assert!(sweep >= 2, "the first sweep ran before the deadline fired");
@@ -157,10 +184,9 @@ fn cancellation_flag_aborts_between_sweeps() {
 fn abort_only_policy_rejects_even_transient_faults() {
     let a = gen::uniform(14, 5, 37);
     let s = solver().with_recovery_policy(RecoveryPolicy::abort_only());
-    let mut ws = SweepWorkspace::new();
     let mut inj =
         SeededInjector::new(2).at_sweep(1, Corruption::GramEntry { i: 0, j: 0, value: -1.0 });
-    let err = s.singular_values_injected(&a, &mut ws, &mut inj).unwrap_err();
+    let err = s.singular_values_with(&a, injected(&mut inj)).unwrap_err();
     match err {
         SvdError::SolveFault {
             fault: Fault::NegativeDiagonal { sweep: 1, index: 0 },
@@ -182,11 +208,11 @@ fn faulted_solve_does_not_poison_its_workspace() {
     let mut inj = SeededInjector::new(6)
         .at_sweep(1, Corruption::GramEntry { i: 1, j: 1, value: f64::NAN })
         .persistent();
-    assert!(s.decompose_injected(&a, &mut ws, &mut inj).is_err());
+    assert!(s.decompose_with(&a, injected(&mut inj).with_workspace(&mut ws)).is_err());
 
     let clean = solver();
-    let reused = clean.decompose_with_workspace(&a, &mut ws).unwrap();
-    let fresh = clean.decompose_with_workspace(&a, &mut SweepWorkspace::new()).unwrap();
+    let reused = clean.decompose_with(&a, SolveRequest::default().with_workspace(&mut ws)).unwrap();
+    let fresh = clean.decompose(&a).unwrap();
     assert_eq!(reused.singular_values, fresh.singular_values, "σ");
     assert_eq!(reused.u.as_slice(), fresh.u.as_slice(), "U");
     assert_eq!(reused.v.as_slice(), fresh.v.as_slice(), "V");
@@ -198,9 +224,8 @@ fn injected_run_with_no_planned_corruptions_matches_clean_run_bitwise() {
     let a = gen::uniform(20, 6, 53);
     let s = solver();
     let clean = s.decompose(&a).unwrap();
-    let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(1);
-    let injected = s.decompose_injected(&a, &mut ws, &mut inj).unwrap();
+    let injected = s.decompose_with(&a, injected(&mut inj)).unwrap();
     assert!(inj.fired().is_empty());
     assert_eq!(injected.singular_values, clean.singular_values);
     assert_eq!(injected.u.as_slice(), clean.u.as_slice());
@@ -216,11 +241,11 @@ fn poisoned_batch_lane_aborts_alone_and_neighbors_are_bit_unaffected() {
     // structured non-finite-gram fault, while every other lane's spectrum,
     // sweep count, and history match the clean batch run bit-for-bit — the
     // software analogue of the paper's independent processing elements.
-    use hjsvd::core::batch_engine::{BatchDriver, BatchWorkspace, LaneCorruption};
+    use hjsvd::core::batch_engine::LaneCorruption;
 
     let mats: Vec<_> = (0..12).map(|k| gen::uniform(18, 6, 500 + k)).collect();
     let s = solver();
-    let clean = s.singular_values_batch_soa(&mats);
+    let clean = BatchDriver::new(&s).solve(&mut BatchWorkspace::new(), &mats);
 
     let driver = BatchDriver::new(&s);
     let mut ws = BatchWorkspace::new();
@@ -252,11 +277,11 @@ fn multiple_poisoned_lanes_fail_independently() {
     // Several corrupted lanes, several fault classes (NaN gram entry and a
     // hard-negative diagonal), one shared sweep loop: each poisoned lane
     // reports its own fault; the survivors still match the clean run.
-    use hjsvd::core::batch_engine::{BatchDriver, BatchWorkspace, LaneCorruption};
+    use hjsvd::core::batch_engine::LaneCorruption;
 
     let mats: Vec<_> = (0..8).map(|k| gen::uniform(16, 5, 800 + k)).collect();
     let s = solver();
-    let clean = s.singular_values_batch_soa(&mats);
+    let clean = BatchDriver::new(&s).solve(&mut BatchWorkspace::new(), &mats);
 
     let driver = BatchDriver::new(&s);
     let mut ws = BatchWorkspace::new();

@@ -3,7 +3,7 @@
 
 use hjsvd::core::ordering::{round_robin, row_cyclic, Ordering, PlanBuffers};
 use hjsvd::core::rotation::{hardware_params, rotate_norms, textbook_params};
-use hjsvd::core::{GramState, HestenesSvd, SvdOptions};
+use hjsvd::core::{BatchDriver, BatchWorkspace, GramState, HestenesSvd, SvdOptions};
 use hjsvd::matrix::{gen, norms, PackedSymmetric};
 use proptest::prelude::*;
 
@@ -240,7 +240,7 @@ proptest! {
             .collect();
         let solver = HestenesSvd::new(SvdOptions::default());
         let looped = solver.singular_values_batch_looped(&mats);
-        let soa = solver.singular_values_batch_soa(&mats);
+        let soa = BatchDriver::new(&solver).solve(&mut BatchWorkspace::new(), &mats);
         prop_assert_eq!(soa.len(), mats.len());
         for (k, (l, s)) in looped.iter().zip(&soa).enumerate() {
             let l = l.as_ref().unwrap();
@@ -265,16 +265,16 @@ proptest! {
         // One workspace carried across different-shaped solves — and across
         // every ordering, whose plan buffers it pools — produces the same
         // bits as a fresh workspace per solve: no state leaks.
-        use hjsvd::core::SweepWorkspace;
+        use hjsvd::core::{SolveRequest, SweepWorkspace};
         let shapes = [(2 * n1 + 1, n1), (3 * n2, n2)];
         let mut ws = SweepWorkspace::new();
         for (k, &(m, n)) in shapes.iter().enumerate() {
             let src = gen::uniform(m, n, seed.wrapping_add(k as u64));
             for ordering in Ordering::ALL {
                 let solver = HestenesSvd::new(SvdOptions { ordering, ..Default::default() });
-                let reused = solver.decompose_with_workspace(&src, &mut ws).unwrap();
-                let fresh =
-                    solver.decompose_with_workspace(&src, &mut SweepWorkspace::new()).unwrap();
+                let reused =
+                    solver.decompose_with(&src, SolveRequest::default().with_workspace(&mut ws)).unwrap();
+                let fresh = solver.decompose(&src).unwrap();
                 prop_assert_eq!(reused.u.as_slice(), fresh.u.as_slice(),
                     "U differs on solve {} ({})", k, ordering.name());
                 prop_assert_eq!(reused.v.as_slice(), fresh.v.as_slice(),

@@ -5,9 +5,11 @@
 //!
 //! 1. **Bit identity** — attaching a sink never perturbs the numerics. A
 //!    traced solve (no-op sink, and a recording sink at the chattiest
-//!    level) produces bit-identical `U`, `Σ`, `V` to an untraced solve.
+//!    level) produces bit-identical `U`, `Σ`, `V` to an untraced solve, on
+//!    a fresh or a warm workspace.
 //! 2. **Zero extra allocations** — a solve traced into a [`NoopSink`]
-//!    performs exactly as many heap allocations as an untraced solve:
+//!    performs exactly as many heap allocations as an untraced solve, on a
+//!    fresh or a warm workspace:
 //!    software trace events are built from numbers and `&'static str`s,
 //!    never from owned strings.
 //! 3. **Honest accounting** — the JSONL stream is valid (one JSON object
@@ -17,25 +19,37 @@
 //! Lives in the root package (not hj-core) because hj-core carries
 //! `#![forbid(unsafe_code)]` and a `GlobalAlloc` impl requires unsafe.
 
-use hjsvd::core::{HestenesSvd, JsonlSink, NoopSink, RingBufferSink, SvdOptions, TraceLevel};
+use hjsvd::core::{
+    HestenesSvd, JsonlSink, NoopSink, RingBufferSink, SolveRequest, Svd, SvdOptions,
+    SweepWorkspace, TraceLevel,
+};
 use hjsvd::matrix::{gen, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
-/// Serialize tests: the allocation counter is process-global and the test
-/// harness runs tests on separate threads.
+/// Serialize tests: they share one allocator and the test harness runs
+/// tests on separate threads.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Counts every allocation event (alloc + realloc) passing through the
-/// global allocator; frees are not counted.
+/// Counts every allocation event (alloc + realloc) made on the calling
+/// thread; frees are not counted. Per-thread, so the harness's own
+/// allocations on other threads (spawning the next test) never land in a
+/// measurement; the solves measured here are single-threaded.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator can run during thread teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -44,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,43 +67,76 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+fn assert_bitwise(want: &Svd, got: &Svd, what: &str) {
+    assert_eq!(
+        want.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        got.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "{what}: singular values drifted under tracing"
+    );
+    assert_eq!(bits(&want.u), bits(&got.u), "{what}: U drifted");
+    assert_eq!(bits(&want.v), bits(&got.v), "{what}: V drifted");
+    assert_eq!(want.sweeps, got.sweeps, "{what}: sweep count drifted");
+}
+
 #[test]
 fn traced_solves_are_bit_identical_to_untraced() {
     let _guard = SERIAL.lock().unwrap();
     let a = gen::uniform(40, 16, 23);
-    // The untraced baseline (trace level in the options is irrelevant
-    // without a sink, but keep it Off to model the production default).
-    let base = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
+    let solver = HestenesSvd::new(SvdOptions::default());
+    let base = solver.decompose(&a).unwrap();
 
-    // No-op sink at the default (promoted) sweep level.
-    let quiet =
-        HestenesSvd::new(SvdOptions::default()).decompose_traced(&a, &mut NoopSink).unwrap();
+    // No-op sink at sweep level.
+    let quiet = solver
+        .decompose_with(&a, SolveRequest::default().with_trace(&mut NoopSink, TraceLevel::Sweep))
+        .unwrap();
+    assert_bitwise(&base, &quiet, "noop sink");
 
     // Recording sink at the chattiest level.
     let mut ring = RingBufferSink::new(1 << 16);
-    let loud =
-        HestenesSvd::new(SvdOptions { trace: TraceLevel::Rotation, ..SvdOptions::default() })
-            .decompose_traced(&a, &mut ring)
-            .unwrap();
+    let loud = solver
+        .decompose_with(&a, SolveRequest::default().with_trace(&mut ring, TraceLevel::Rotation))
+        .unwrap();
     assert!(ring.recorded() > 0, "rotation-level trace was empty");
+    assert_bitwise(&base, &loud, "rotation-level ring");
 
-    for traced in [&quiet, &loud] {
-        assert_eq!(
-            base.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            traced.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "singular values drifted under tracing"
-        );
-        assert_eq!(bits(&base.u), bits(&traced.u), "U drifted");
-        assert_eq!(bits(&base.v), bits(&traced.v), "V drifted");
-        assert_eq!(base.sweeps, traced.sweeps, "sweep count drifted");
-    }
+    // The same two sinks on a warm workspace, against the untraced solve on
+    // that workspace.
+    let mut ws = SweepWorkspace::new();
+    solver.decompose_with(&a, SolveRequest::default().with_workspace(&mut ws)).unwrap();
+    let warm = solver.decompose_with(&a, SolveRequest::default().with_workspace(&mut ws)).unwrap();
+    assert_bitwise(&base, &warm, "warm untraced");
+    let warm_quiet = solver
+        .decompose_with(
+            &a,
+            SolveRequest::default()
+                .with_workspace(&mut ws)
+                .with_trace(&mut NoopSink, TraceLevel::Sweep),
+        )
+        .unwrap();
+    assert_bitwise(&warm, &warm_quiet, "warm noop sink");
+    let mut warm_ring = RingBufferSink::new(1 << 16);
+    let warm_loud = solver
+        .decompose_with(
+            &a,
+            SolveRequest::default()
+                .with_workspace(&mut ws)
+                .with_trace(&mut warm_ring, TraceLevel::Rotation),
+        )
+        .unwrap();
+    assert_eq!(warm_ring.recorded(), ring.recorded(), "warm trace differs from cold");
+    assert_bitwise(&warm, &warm_loud, "warm rotation-level ring");
+}
+
+/// A request tracing into `sink` at sweep level.
+fn noop(sink: &mut NoopSink) -> SolveRequest<'_> {
+    SolveRequest::default().with_trace(sink, TraceLevel::Sweep)
 }
 
 #[test]
@@ -97,30 +144,47 @@ fn noop_traced_solve_allocates_exactly_as_much_as_untraced() {
     let _guard = SERIAL.lock().unwrap();
     let a = gen::uniform(48, 24, 29);
     let solver = HestenesSvd::new(SvdOptions::default());
+    let mut sink = NoopSink;
     // Warm up the allocator's internal arenas so both measured runs see
     // identical conditions.
     solver.decompose(&a).unwrap();
-    solver.decompose_traced(&a, &mut NoopSink).unwrap();
+    solver.decompose_with(&a, noop(&mut sink)).unwrap();
 
     let before = allocation_count();
     solver.decompose(&a).unwrap();
     let untraced = allocation_count() - before;
 
     let before = allocation_count();
-    solver.decompose_traced(&a, &mut NoopSink).unwrap();
+    solver.decompose_with(&a, noop(&mut sink)).unwrap();
     let traced = allocation_count() - before;
 
     assert_eq!(traced, untraced, "no-op tracing changed the allocation count");
+
+    // The same contract on a warm workspace.
+    let mut ws = SweepWorkspace::new();
+    solver.decompose_with(&a, SolveRequest::default().with_workspace(&mut ws)).unwrap();
+    solver.decompose_with(&a, noop(&mut sink).with_workspace(&mut ws)).unwrap();
+
+    let before = allocation_count();
+    solver.decompose_with(&a, SolveRequest::default().with_workspace(&mut ws)).unwrap();
+    let warm_untraced = allocation_count() - before;
+
+    let before = allocation_count();
+    solver.decompose_with(&a, noop(&mut sink).with_workspace(&mut ws)).unwrap();
+    let warm_traced = allocation_count() - before;
+
+    assert_eq!(warm_traced, warm_untraced, "no-op tracing changed the warm allocation count");
 }
 
 #[test]
 fn jsonl_stream_is_valid_and_rotation_counts_match_stats() {
     let _guard = SERIAL.lock().unwrap();
     let a = gen::uniform(36, 18, 31);
-    let solver =
-        HestenesSvd::new(SvdOptions { trace: TraceLevel::Rotation, ..SvdOptions::default() });
+    let solver = HestenesSvd::new(SvdOptions::default());
     let mut sink = JsonlSink::new(Vec::new());
-    let svd = solver.decompose_traced(&a, &mut sink).unwrap();
+    let svd = solver
+        .decompose_with(&a, SolveRequest::default().with_trace(&mut sink, TraceLevel::Rotation))
+        .unwrap();
     let text = String::from_utf8(sink.finish().unwrap()).unwrap();
 
     let mut sweep_end_rotations = 0usize;

@@ -203,13 +203,14 @@ fn batch_workspace_solves_allocate_only_results_after_warmup() {
     // per-problem result construction alone (values, history, stats) — a
     // constant per batch, independent of how many batches have run.
     let _guard = serial_guard();
-    use hjsvd::core::{BatchWorkspace, HestenesSvd, SvdOptions};
+    use hjsvd::core::{BatchDriver, BatchWorkspace, HestenesSvd, SvdOptions};
     let solver = HestenesSvd::new(SvdOptions::default());
+    let driver = BatchDriver::new(&solver);
     let mats: Vec<Matrix> = (0..24).map(|k| gen::uniform(16, 8, 70 + k)).collect();
     let mut ws = BatchWorkspace::new();
 
     // Warm-up batch: sizes the SoA triangle and the lane-state buffers.
-    let first = solver.singular_values_batch_soa_with_workspace(&mats, &mut ws);
+    let first = driver.solve(&mut ws, &mats);
     assert!(first.iter().all(|r| r.is_ok()), "warm-up batch must solve");
     let warm = ws.allocations();
     assert!(warm > 0, "warm-up must have sized the workspace");
@@ -217,7 +218,7 @@ fn batch_workspace_solves_allocate_only_results_after_warmup() {
     let mut deltas = Vec::new();
     for _ in 0..6 {
         let before = allocation_count();
-        let batch = solver.singular_values_batch_soa_with_workspace(&mats, &mut ws);
+        let batch = driver.solve(&mut ws, &mats);
         deltas.push(allocation_count() - before);
         assert!(batch.iter().all(|r| r.is_ok()));
     }
