@@ -22,15 +22,24 @@
 //!
 //! Run: `cargo run --release -p hj-bench --bin sweep_report`
 //!
-//! With `--perf-smoke` the binary additionally enforces the ordering
-//! contract from the scheduling subsystem: no plain (threshold-free)
-//! non-cyclic ordering may need *more* sweeps than cyclic at
-//! `n = `[`PERF_SMOKE_N`].
+//! With `--perf-smoke` the binary additionally holds every run to two
+//! guarantees that the deterministic sequential engine gives on any host
+//! and build (timings are never compared):
+//!
+//! * **(a) Same counts as the record.** Each run's `sweeps_to_converge` and
+//!   per-sweep `rotations_applied` equal those of the committed
+//!   `BENCH_sweep.json`, read before this run overwrites it. A change to
+//!   the engine's arithmetic, the guard or an ordering shows here; a change
+//!   meant to alter the counts must regenerate the record with it.
+//! * **(b) Every run stops before the cap.** No run may reach
+//!   [`MAX_SWEEP_CAP`] sweeps: a solve that idles to the cap has not found
+//!   its stopping point.
 //!
 //! CI runs this mode; any cross-check failure or contract breach exits
 //! nonzero.
 
 use hj_bench::{fmt_secs, print_table};
+use hj_core::convergence::MAX_SWEEP_CAP;
 use hj_core::{
     HestenesSvd, Ordering, RingBufferSink, SolveRequest, SvdOptions, ThresholdSchedule, TraceEvent,
     TraceLevel,
@@ -53,7 +62,7 @@ const ORDERING_GRID: [(Ordering, bool); 6] = [
 ];
 const SEED: u64 = 42;
 const BREAKDOWN_N: usize = 128;
-const PERF_SMOKE_N: usize = 256;
+const REPORT_PATH: &str = "BENCH_sweep.json";
 
 /// Per-sweep numbers reconstructed from one run's `sweep_end` trace events.
 struct SweepLine {
@@ -182,6 +191,9 @@ fn run_one(
 
 fn main() {
     let perf_smoke = std::env::args().skip(1).any(|a| a == "--perf-smoke");
+    // The record the smoke check compares against, read before this run
+    // overwrites it.
+    let committed = perf_smoke.then(|| std::fs::read_to_string(REPORT_PATH));
     let mut runs = Vec::new();
     let mut failures = 0usize;
 
@@ -257,15 +269,19 @@ fn main() {
         .collect();
     print_table(&["sweep", "applied", "skipped", "off-frobenius", "time"], &rows);
 
-    if perf_smoke {
-        failures += ordering_smoke_check(&runs);
+    match committed {
+        Some(Ok(json)) => failures += perf_smoke_check(&runs, &json),
+        Some(Err(e)) => {
+            eprintln!("FAIL perf-smoke: cannot read the committed {REPORT_PATH}: {e}");
+            failures += 1;
+        }
+        None => {}
     }
 
-    let path = "BENCH_sweep.json";
-    match std::fs::write(path, report_json(&runs, failures)) {
-        Ok(()) => println!("\nreport: {path}"),
+    match std::fs::write(REPORT_PATH, report_json(&runs, failures)) {
+        Ok(()) => println!("\nreport: {REPORT_PATH}"),
         Err(e) => {
-            eprintln!("FAIL writing {path}: {e}");
+            eprintln!("FAIL writing {REPORT_PATH}: {e}");
             failures += 1;
         }
     }
@@ -285,42 +301,104 @@ fn ordering_label(r: &Run) -> String {
     }
 }
 
-/// `--perf-smoke`: fail if any plain (threshold-free) non-cyclic ordering
-/// needs more sweeps than cyclic at n = [`PERF_SMOKE_N`]. The adaptive
-/// orderings exist to cut sweep counts; a regression here means a strategy
-/// change made scheduling worse than the default it is meant to beat.
-fn ordering_smoke_check(runs: &[Run]) -> usize {
-    let sweeps = |ordering: &str| {
-        runs.iter()
-            .find(|r| {
-                r.n == PERF_SMOKE_N
-                    && r.engine == "sequential"
-                    && r.ordering == ordering
-                    && !r.threshold
+/// The counts guarantee (a) compares: one run's key and its sweep-by-sweep
+/// applied rotations (the sweep count is the list's length).
+#[derive(Debug, Clone, PartialEq)]
+struct Counts {
+    n: usize,
+    ordering: String,
+    threshold: bool,
+    applied: Vec<usize>,
+}
+
+impl Counts {
+    fn of(r: &Run) -> Counts {
+        Counts {
+            n: r.n,
+            ordering: r.ordering.to_string(),
+            threshold: r.threshold,
+            applied: r.per_sweep.iter().map(|s| s.applied).collect(),
+        }
+    }
+}
+
+/// The leading unsigned integer of `s`.
+fn leading_usize(s: &str) -> Option<usize> {
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    s[..end].parse().ok()
+}
+
+/// Read every run's [`Counts`] back out of a report [`report_json`] wrote;
+/// `None` if any run lacks a field or its sweep count disagrees with its
+/// per-sweep list.
+fn parse_counts(json: &str) -> Option<Vec<Counts>> {
+    json.split("{\"n\":")
+        .skip(1)
+        .map(|run| {
+            let after = |key: &str| run.split_once(key).map(|(_, rest)| rest);
+            let ordering = after("\"ordering\":\"")?.split('"').next()?.to_string();
+            let threshold = after("\"threshold_schedule\":")?.starts_with("true");
+            let sweeps = leading_usize(after("\"sweeps_to_converge\":")?)?;
+            let per_sweep = after("\"per_sweep\":[")?.split("],\"stats\":").next()?;
+            let applied = per_sweep
+                .split("\"rotations_applied\":")
+                .skip(1)
+                .map(leading_usize)
+                .collect::<Option<Vec<_>>>()?;
+            (applied.len() == sweeps).then_some(Counts {
+                n: leading_usize(run)?,
+                ordering,
+                threshold,
+                applied,
             })
-            .map(|r| r.sweeps)
-    };
-    let Some(cyclic) = sweeps("cyclic") else {
-        eprintln!("FAIL ordering-smoke: no n={PERF_SMOKE_N} cyclic baseline run");
+        })
+        .collect()
+}
+
+/// `--perf-smoke`: hold every run to guarantees (a) and (b) of the module
+/// doc against the committed report `committed`; returns the number of
+/// failures.
+fn perf_smoke_check(runs: &[Run], committed: &str) -> usize {
+    let mut failures = 0usize;
+    let Some(record) = parse_counts(committed) else {
+        eprintln!("FAIL perf-smoke: the committed {REPORT_PATH} does not parse");
         return 1;
     };
-    let mut failures = 0usize;
-    println!("\nordering-smoke at n={PERF_SMOKE_N}: cyclic baseline = {cyclic} sweeps");
-    for name in ["row-cyclic", "greedy", "presort"] {
-        match sweeps(name) {
-            Some(s) if s > cyclic => {
+    if record.len() != runs.len() {
+        eprintln!("FAIL perf-smoke: {} runs, the record has {}", runs.len(), record.len());
+        failures += 1;
+    }
+    for r in runs {
+        let got = Counts::of(r);
+        let label = format!("n={} ordering={}", r.n, ordering_label(r));
+        match record
+            .iter()
+            .find(|c| (c.n, &c.ordering, c.threshold) == (got.n, &got.ordering, got.threshold))
+        {
+            None => {
+                eprintln!("FAIL perf-smoke: {label} has no run in the record");
+                failures += 1;
+            }
+            Some(want) if *want != got => {
                 eprintln!(
-                    "FAIL ordering-smoke: {name} needs {s} sweeps at n={PERF_SMOKE_N}, \
-                     cyclic needs {cyclic} — a non-cyclic ordering must never be slower"
+                    "FAIL perf-smoke: {label} applied {:?} per sweep, the record says {:?}",
+                    got.applied, want.applied
                 );
                 failures += 1;
             }
-            Some(s) => println!("  {name}: {s} sweeps (<= {cyclic})"),
-            None => {
-                eprintln!("FAIL ordering-smoke: no n={PERF_SMOKE_N} {name} run");
-                failures += 1;
-            }
+            Some(_) => {}
         }
+        if r.sweeps >= MAX_SWEEP_CAP {
+            eprintln!("FAIL perf-smoke: {label} ran {} sweeps, reaching the cap", r.sweeps);
+            failures += 1;
+        }
+    }
+    if failures == 0 {
+        println!(
+            "\nperf-smoke: all {} runs match the record's sweep and rotation counts \
+             and stop before {MAX_SWEEP_CAP} sweeps",
+            runs.len()
+        );
     }
     failures
 }
@@ -358,4 +436,77 @@ fn report_json(runs: &[Run], failures: usize) -> String {
     }
     out.push_str("]}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(n: usize, ordering: &'static str, threshold: bool, applied: &[usize]) -> Run {
+        Run {
+            n,
+            engine: "sequential",
+            ordering,
+            threshold,
+            sweeps: applied.len(),
+            trace_events: 3 * applied.len(),
+            per_sweep: applied
+                .iter()
+                .enumerate()
+                .map(|(k, &a)| SweepLine {
+                    sweep: k + 1,
+                    applied: a,
+                    skipped: 10 - a,
+                    off_frobenius: 1e-3,
+                    seconds: 1e-4,
+                })
+                .collect(),
+            stats_json: format!("{{\"rotations_applied\":{}}}", applied.iter().sum::<usize>()),
+            total_seconds: 1e-3,
+            rotations_applied: applied.iter().sum::<usize>() as u64,
+            final_off_frobenius: 1e-3,
+        }
+    }
+
+    fn runs() -> Vec<Run> {
+        vec![run(8, "cyclic", false, &[10, 9, 4, 0]), run(8, "greedy", true, &[7, 10, 2])]
+    }
+
+    #[test]
+    fn the_record_parses_back_to_its_counts() {
+        let record = parse_counts(&report_json(&runs(), 0)).unwrap();
+        assert_eq!(record, runs().iter().map(Counts::of).collect::<Vec<_>>());
+        assert_eq!(perf_smoke_check(&runs(), &report_json(&runs(), 0)), 0);
+    }
+
+    #[test]
+    fn a_changed_rotation_count_fails_the_check() {
+        let committed = report_json(&runs(), 0);
+        let mut doctored = runs();
+        doctored[1].per_sweep[1].applied -= 1;
+        assert_eq!(perf_smoke_check(&doctored, &committed), 1);
+        // So does a changed sweep count, and a run the record lacks.
+        let mut longer = runs();
+        longer[0] = run(8, "cyclic", false, &[10, 9, 4, 1, 0]);
+        assert_eq!(perf_smoke_check(&longer, &committed), 1);
+        let mut renamed = runs();
+        renamed[1].threshold = false;
+        assert_eq!(perf_smoke_check(&renamed, &committed), 1);
+    }
+
+    #[test]
+    fn a_run_at_the_cap_fails_the_check_even_if_the_record_agrees() {
+        let mut capped = runs();
+        capped[0] = run(8, "cyclic", false, &[1; MAX_SWEEP_CAP]);
+        let committed = report_json(&capped, 0);
+        assert_eq!(perf_smoke_check(&capped, &committed), 1);
+    }
+
+    #[test]
+    fn an_unreadable_record_fails_the_check() {
+        assert_eq!(perf_smoke_check(&runs(), "{\"runs\":[{\"n\":8}]}"), 1);
+        let mut truncated = report_json(&runs(), 0);
+        truncated.truncate(truncated.len() / 2);
+        assert!(perf_smoke_check(&runs(), &truncated) > 0);
+    }
 }

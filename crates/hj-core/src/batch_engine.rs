@@ -32,9 +32,11 @@
 //! [`BatchDriver`] runs the shared cyclic sweep schedule over a
 //! [`BatchWorkspace`] with a **per-problem active mask**:
 //!
-//! * a problem that satisfies the solver's [`crate::Convergence`] criterion
-//!   drops out (its lane gets identity rotation parameters — bit-preserving
-//!   for its diagonal, hence for its spectrum) without stalling the batch;
+//! * a problem that satisfies the solver's [`crate::Convergence`] criterion,
+//!   or whose sweep rotated nothing ([`crate::SolveDriver`]'s fixed-point
+//!   stop), drops out (its lane gets identity rotation parameters —
+//!   bit-preserving for its diagonal, hence for its spectrum) without
+//!   stalling the batch;
 //! * a problem that trips the per-lane health checks (non-finite Gram,
 //!   materially negative diagonal, convergence stall — the same thresholds
 //!   as [`crate::HealthCheck`]) faults **alone**: lanes never read each
@@ -59,7 +61,7 @@
 //! criterion fires, and sweep-boundary bookkeeping differs from the scalar
 //! driver only in traversal.
 
-use crate::convergence::{is_converged, SweepRecord, MAX_SWEEP_CAP};
+use crate::convergence::{is_converged, Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::kernel::{batch_params_soa, rotate_packed_soa};
 use crate::ordering::{round_robin, Ordering};
 use crate::recovery::{Fault, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR};
@@ -615,7 +617,11 @@ impl<'a> BatchDriver<'a> {
                     ws.outcome[p] = LaneOutcome::Faulted(fault);
                     continue;
                 }
-                if is_converged(&opts.convergence, &rec, ws.trace[p], n) {
+                // Same fixed-point stop as `SolveDriver`: a lane that rotated
+                // nothing this sweep would only repeat the sweep.
+                let fixed_point = rec.rotations_applied == 0
+                    && !matches!(opts.convergence, Convergence::FixedSweeps(_));
+                if fixed_point || is_converged(&opts.convergence, &rec, ws.trace[p], n) {
                     ws.active[p] = 0;
                     ws.outcome[p] = LaneOutcome::Converged;
                 }
@@ -842,6 +848,34 @@ mod tests {
             sweep_counts.iter().any(|&s| s != sweep_counts[0]),
             "test wants problems with distinct convergence sweeps, got {sweep_counts:?}"
         );
+    }
+
+    #[test]
+    fn lanes_retire_at_their_fixed_point_unless_the_sweep_count_is_fixed() {
+        // A zero tolerance is never met: each lane stops at its first sweep
+        // that rotated nothing, as `SolveDriver` does.
+        let mats = uniform_batch(20, 8, 5);
+        let zero_tol = SvdOptions {
+            convergence: Convergence::MaxCovariance { tol: 0.0 },
+            ..SvdOptions::default()
+        };
+        let mut longest = 0;
+        for res in soa(&HestenesSvd::new(zero_tol), &mats) {
+            let sv = res.unwrap();
+            let (last, busy) = sv.history.split_last().unwrap();
+            assert!(sv.sweeps < MAX_SWEEP_CAP);
+            assert_eq!(last.rotations_applied, 0);
+            assert!(busy.iter().all(|r| r.rotations_applied > 0));
+            longest = longest.max(sv.sweeps);
+        }
+        // A fixed sweep count runs every lane that many sweeps regardless.
+        let fixed = SvdOptions {
+            convergence: Convergence::FixedSweeps(longest + 2),
+            ..SvdOptions::default()
+        };
+        for res in soa(&HestenesSvd::new(fixed), &mats) {
+            assert_eq!(res.unwrap().sweeps, longest + 2);
+        }
     }
 
     #[test]

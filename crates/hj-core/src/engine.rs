@@ -6,14 +6,19 @@
 //! values-only and full drivers, [`crate::eigh`], PCA, and the batch API —
 //! runs its sweeps through exactly one loop, [`SolveDriver::run`], against an
 //! engine implementing [`SweepEngine`]. The crate ships one:
-//! [`Sequential`], faithful to Algorithm 1's data flow — pairs are visited
-//! one at a time and `D` (plus `V`, when accumulated) is rotated in place.
-//! The trait stays open so callers can wrap it (a timing or counting engine
-//! around [`Sequential`]). Parallelism comes from running independent problems
-//! side by side — the SoA batch engine ([`crate::batch_engine`]) and the
-//! batch API's fan-out — not from synchronized rounds within one problem,
-//! whose per-round barriers are the cost the paper holds against the GPU
-//! baseline.
+//! [`Sequential`], faithful to Algorithm 1's data flow on one thread, with
+//! `D` (plus `V`, when accumulated) rotated in place. It works a round at a
+//! time, like the paper's Jacobi rotation component (Fig. 6): for a chunk of
+//! a round's disjoint pairs it first computes every rotation's parameters,
+//! then applies the rotations in plan order. No rotation writes another
+//! disjoint pair's `(D_ii, D_jj, D_ij)`, so this is the pair-at-a-time loop
+//! bit for bit; only the parameters' divide and square-root latencies
+//! overlap instead of queueing. The trait stays open so callers can wrap it
+//! (a timing or counting engine around [`Sequential`]). Parallelism across
+//! cores comes from running independent problems side by side — the SoA
+//! batch engine ([`crate::batch_engine`]) and the batch API's fan-out — not
+//! from synchronized rounds within one problem, whose per-round barriers
+//! are the cost the paper holds against the GPU baseline.
 //!
 //! What gets rotated is expressed once, by [`RotationTarget`]: the Gram
 //! matrix alone (values-only mode), Gram + accumulated `V` (the
@@ -32,9 +37,10 @@
 
 use crate::convergence::{is_converged, Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::gram::GramState;
+use crate::kernel::batch_params;
 use crate::ordering::{Preplanned, Sweep, SweepSchedule};
 use crate::recovery::{Fault, HealthCheck, HealthState, SolveBudget};
-use crate::rotation::{pair_converged, textbook_params};
+use crate::rotation::{pair_converged, Rotation};
 use crate::stats::SolveStats;
 use crate::sweep::{finish_record, PAIR_TOL};
 use crate::trace::{SkipReason, TraceEvent, TraceLevel, TraceSink, Tracer};
@@ -219,8 +225,27 @@ pub(crate) fn seq_rotation_gram_bytes(n: usize) -> u64 {
     8 * (4 * n as u64).saturating_sub(2)
 }
 
-/// The in-place pair-at-a-time engine — Algorithm 1's literal data flow.
-/// Stateless and allocation-free; works with any pair ordering.
+/// Pairs of one round whose rotation parameters [`Sequential`] computes
+/// before applying any of them: a chunk of at most this many disjoint
+/// pairs, held on the stack. At `n = 32` one chunk is a whole round; a
+/// wider round is split, which only bounds how many parameter chains
+/// overlap.
+const ROUND_CHUNK: usize = 16;
+
+/// The in-place round-at-a-time engine — Algorithm 1's data flow, with each
+/// round's rotation parameters computed ahead of its updates. Stateless and
+/// allocation-free; works with any pair ordering.
+///
+/// Each round is walked in chunks of at most 16 pairs (`ROUND_CHUNK`), in
+/// two passes: first every pair's `(D_ii, D_jj, D_ij)` is read, the guard
+/// decides, and the live pairs' parameters come out of one
+/// [`batch_params`] call; then the chunk's rotations are applied to `D` (and
+/// `V`) in plan order. Rounds are pairwise disjoint, and a rotation of
+/// `(i, j)` writes only `D_ii`, `D_jj`, `D_ij` and the `D_ki`, `D_kj` of
+/// other columns `k` — never another disjoint pair's three inputs. So every
+/// guard decision, parameter and update order is exactly the pair-at-a-time
+/// loop's, bit for bit; only the parameters' latency chains now overlap,
+/// like the independent rotations the paper's Fig. 6 keeps in flight.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sequential;
 
@@ -239,29 +264,57 @@ impl SweepEngine for Sequential {
         let guard = state.guard.ready(state.gram);
         let mut applied = 0usize;
         let mut skipped = 0usize;
-        for (i, j) in order.pairs() {
-            let (ni, nj, cov) =
-                (state.gram.norm_sq(i), state.gram.norm_sq(j), state.gram.covariance(i, j));
-            if guard.skip(ni, nj, cov) {
-                skipped += 1;
-                if tracer.rotation_enabled() {
-                    tracer.emit(TraceEvent::RotationSkipped {
-                        sweep: idx,
-                        i,
-                        j,
-                        reason: guard.reason(),
-                    });
+        let mut live = [false; ROUND_CHUNK];
+        let (mut ni, mut nj, mut cov) =
+            ([0.0; ROUND_CHUNK], [0.0; ROUND_CHUNK], [0.0; ROUND_CHUNK]);
+        let (mut cos, mut sin, mut t) =
+            ([0.0; ROUND_CHUNK], [0.0; ROUND_CHUNK], [0.0; ROUND_CHUNK]);
+        for chunk in order.rounds().iter().flat_map(|round| round.chunks(ROUND_CHUNK)) {
+            debug_assert!(pairs_disjoint(chunk), "a round's pairs must be disjoint");
+            // Pass 1: guard every pair, gather the live ones into SoA lanes.
+            let mut lanes = 0;
+            for (k, &(i, j)) in chunk.iter().enumerate() {
+                let (a, b, c) =
+                    (state.gram.norm_sq(i), state.gram.norm_sq(j), state.gram.covariance(i, j));
+                live[k] = !guard.skip(a, b, c);
+                if live[k] {
+                    (ni[lanes], nj[lanes], cov[lanes]) = (a, b, c);
+                    lanes += 1;
                 }
-                continue;
             }
-            let rot = textbook_params(ni, nj, cov);
-            state.gram.rotate(i, j, &rot);
-            if let Some(vm) = state.target.v.as_deref_mut() {
-                vm.column_pair(i, j).expect("sweep pairs are valid").rotate(rot.cos, rot.sin);
-            }
-            applied += 1;
-            if tracer.rotation_enabled() {
-                tracer.emit(TraceEvent::RotationApplied { sweep: idx, i, j });
+            batch_params(
+                &ni[..lanes],
+                &nj[..lanes],
+                &cov[..lanes],
+                &mut cos[..lanes],
+                &mut sin[..lanes],
+                &mut t[..lanes],
+            );
+            // Pass 2: apply the rotations and report every pair, in plan order.
+            let mut lane = 0;
+            for (k, &(i, j)) in chunk.iter().enumerate() {
+                if !live[k] {
+                    skipped += 1;
+                    if tracer.rotation_enabled() {
+                        tracer.emit(TraceEvent::RotationSkipped {
+                            sweep: idx,
+                            i,
+                            j,
+                            reason: guard.reason(),
+                        });
+                    }
+                    continue;
+                }
+                let rot = Rotation { cos: cos[lane], sin: sin[lane], t: t[lane] };
+                lane += 1;
+                state.gram.rotate(i, j, &rot);
+                if let Some(vm) = state.target.v.as_deref_mut() {
+                    vm.column_pair(i, j).expect("sweep pairs are valid").rotate(rot.cos, rot.sin);
+                }
+                applied += 1;
+                if tracer.rotation_enabled() {
+                    tracer.emit(TraceEvent::RotationApplied { sweep: idx, i, j });
+                }
             }
         }
         finish_record(state.gram, idx, applied, skipped)
@@ -273,6 +326,14 @@ impl SweepEngine for Sequential {
         // columns (rows/cols i and j) of the packed triangle.
         stats.gram_col_touches = 2 * stats.rotations_applied as u64;
     }
+}
+
+/// True if no column appears twice among `pairs`.
+fn pairs_disjoint(pairs: &[(usize, usize)]) -> bool {
+    pairs
+        .iter()
+        .enumerate()
+        .all(|(k, &(i, j))| pairs[..k].iter().all(|&(p, q)| p != i && p != j && q != i && q != j))
 }
 
 /// The one sweep loop in the crate. Owns convergence checking, per-sweep
@@ -406,6 +467,12 @@ impl SolveDriver {
     /// [`Convergence::NoRotations`] stopping rule while the ramp is active
     /// (a coarse guard's idle sweep is not convergence).
     ///
+    /// Outside an active ramp, a sweep that applied no rotation ends the run
+    /// under every stopping rule but [`Convergence::FixedSweeps`]: `D` and
+    /// `V` are then a fixed point of the sweep, so further sweeps could only
+    /// repeat it. The [`TraceEvent::ConvergenceCheck`] of that sweep still
+    /// reports whether the global criterion itself was met.
+    ///
     /// With a [`RotationTarget::full`] target, a run that ends without a
     /// fault finishes by forming `B ← B·V` in place, timed into
     /// [`SolveStats::columns_seconds`].
@@ -497,7 +564,15 @@ impl SolveDriver {
                     converged,
                 });
             }
-            if converged {
+            // A sweep that rotated nothing left D (and V) as it found them,
+            // so every later sweep would repeat it: stop at the fixed point
+            // even when the global criterion asks for more than the per-pair
+            // guard can deliver. The paper's fixed sweep count and an active
+            // threshold ramp (whose idle sweep only deferred pairs) are exempt.
+            let fixed_point = rec.rotations_applied == 0
+                && !threshold_active
+                && !matches!(self.convergence, Convergence::FixedSweeps(_));
+            if converged || fixed_point {
                 break;
             }
         }
@@ -826,6 +901,213 @@ mod tests {
         assert!(run.history[0].rotations_applied == 0, "sweep 1 must be fully deferred");
         assert!(run.history.len() > 1, "NoRotations must not fire on a deferred sweep");
         assert_eq!(run.history.last().unwrap().rotations_applied, 0, "real convergence at the end");
+    }
+
+    /// The pair-at-a-time loop [`Sequential`] replaced: guard, parameters
+    /// and rotation strictly one pair after another. Kept as the bitwise
+    /// reference for the round-at-a-time unit.
+    struct PairAtATime;
+
+    impl SweepEngine for PairAtATime {
+        fn name(&self) -> &'static str {
+            "sequential"
+        }
+
+        fn sweep_traced(
+            &mut self,
+            state: &mut SweepState<'_>,
+            order: &Sweep,
+            idx: usize,
+            tracer: &mut Tracer<'_, '_>,
+        ) -> SweepRecord {
+            let guard = state.guard.ready(state.gram);
+            let (mut applied, mut skipped) = (0usize, 0usize);
+            for (i, j) in order.pairs() {
+                let (ni, nj, cov) =
+                    (state.gram.norm_sq(i), state.gram.norm_sq(j), state.gram.covariance(i, j));
+                if guard.skip(ni, nj, cov) {
+                    skipped += 1;
+                    if tracer.rotation_enabled() {
+                        let reason = guard.reason();
+                        tracer.emit(TraceEvent::RotationSkipped { sweep: idx, i, j, reason });
+                    }
+                    continue;
+                }
+                let rot = crate::rotation::textbook_params(ni, nj, cov);
+                state.gram.rotate(i, j, &rot);
+                if let Some(vm) = state.target.v.as_deref_mut() {
+                    vm.column_pair(i, j).unwrap().rotate(rot.cos, rot.sin);
+                }
+                applied += 1;
+                if tracer.rotation_enabled() {
+                    tracer.emit(TraceEvent::RotationApplied { sweep: idx, i, j });
+                }
+            }
+            finish_record(state.gram, idx, applied, skipped)
+        }
+
+        fn finish(&mut self, stats: &mut SolveStats, n: usize) {
+            Sequential.finish(stats, n);
+        }
+    }
+
+    /// Everything a run leaves behind, as bits: `D`, `B`, `V`, the history,
+    /// the stats counters, and the trace with wall times zeroed.
+    type RunBits = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<[u64; 6]>, [usize; 6], Vec<TraceEvent>);
+
+    fn run_bits(
+        engine: &mut dyn SweepEngine,
+        a: &Matrix,
+        ordering: crate::ordering::Ordering,
+        threshold: bool,
+        guard: PairGuard,
+        target: usize,
+    ) -> RunBits {
+        use crate::ordering::{PlanBuffers, ThresholdSchedule};
+        use crate::trace::RingBufferSink;
+        let n = a.cols();
+        let mut g = GramState::from_matrix(a);
+        let (mut b, mut v) = (a.clone(), Matrix::identity(n));
+        let target = match target {
+            0 => RotationTarget::gram_only(),
+            1 => RotationTarget::accumulate(&mut v),
+            _ => RotationTarget::full(&mut b, &mut v),
+        };
+        let mut st = SweepState { gram: &mut g, target, guard };
+        let mut bufs = PlanBuffers::new();
+        let (strategy, plan) = bufs.schedule_parts(ordering);
+        let threshold = threshold.then(ThresholdSchedule::default);
+        let mut schedule = SweepSchedule { strategy, plan, threshold };
+        let mut sink = RingBufferSink::new(1 << 20);
+        let mut mon = SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default())
+            .with_trace(&mut sink, TraceLevel::Rotation);
+        let run = driver().run_monitored(engine, &mut st, &mut schedule, &mut mon);
+        assert_eq!(run.fault, None);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let history = run
+            .history
+            .iter()
+            .map(|r| {
+                let f = [r.mean_abs_cov, r.off_frobenius, r.max_abs_cov].map(f64::to_bits);
+                [
+                    r.sweep as u64,
+                    f[0],
+                    f[1],
+                    f[2],
+                    r.rotations_applied as u64,
+                    r.rotations_skipped as u64,
+                ]
+            })
+            .collect();
+        let s = &run.stats;
+        let counters = [
+            s.sweeps,
+            s.rotations_applied,
+            s.rotations_skipped,
+            s.replans,
+            s.pairs_skipped_by_threshold,
+            s.gram_col_touches as usize,
+        ];
+        let events = sink
+            .events()
+            .into_iter()
+            .map(|e| match e {
+                TraceEvent::SweepEnd {
+                    seconds: _,
+                    sweep,
+                    rotations_applied,
+                    rotations_skipped,
+                    off_frobenius,
+                } => TraceEvent::SweepEnd {
+                    sweep,
+                    rotations_applied,
+                    rotations_skipped,
+                    off_frobenius,
+                    seconds: 0.0,
+                },
+                e => e,
+            })
+            .collect();
+        (
+            bits(g.packed().as_slice()),
+            bits(b.as_slice()),
+            bits(v.as_slice()),
+            history,
+            counters,
+            events,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The round-at-a-time unit computes exactly what the pair-at-a-time
+        /// loop does: same `D`, `B`, `V`, history, counters and rotation-level
+        /// trace, bit for bit — for odd and even `n` (up to rounds that span
+        /// two chunks), every ordering with and without the threshold
+        /// ramp, both guards, and all three targets.
+        #[test]
+        fn round_at_a_time_matches_pair_at_a_time_bitwise(
+            n in 2usize..(2 * ROUND_CHUNK + 12),
+            extra in 0usize..9,
+            seed in 0u64..1000,
+            ordering in 0usize..4,
+            threshold in proptest::prelude::any::<bool>(),
+            (guard, target) in (0usize..2, 0usize..3),
+        ) {
+            use crate::ordering::Ordering;
+            let ordering = [
+                Ordering::RoundRobin,
+                Ordering::RowCyclic,
+                Ordering::SortedGreedy,
+                Ordering::ColumnNormPresort,
+            ][ordering];
+            let guard = if guard == 0 {
+                PairGuard::default()
+            } else {
+                PairGuard::DiagonalScale { tol: 1e-14 }
+            };
+            let a = gen::uniform(n + extra, n, seed);
+            let want = run_bits(&mut PairAtATime, &a, ordering, threshold, guard, target);
+            let got = run_bits(&mut Sequential, &a, ordering, threshold, guard, target);
+            proptest::prop_assert!(got == want, "n {n} {ordering:?} th {threshold} {guard:?} target {target}");
+        }
+    }
+
+    #[test]
+    fn idle_sweep_is_a_fixed_point_under_every_rule_but_fixed_sweeps() {
+        // A zero tolerance asks for more than the per-pair guard can deliver:
+        // the guard eventually skips every pair while |D_ij| stays above 0.
+        let a = gen::uniform(30, 8, 11);
+        let order = round_robin(8);
+        let run = |convergence: Convergence| {
+            let mut g = GramState::from_matrix(&a);
+            let mut st = SweepState {
+                gram: &mut g,
+                target: RotationTarget::gram_only(),
+                guard: PairGuard::default(),
+            };
+            let d = SolveDriver { convergence, max_sweeps: MAX_SWEEP_CAP };
+            let (history, _) = d.run(&mut Sequential, &mut st, &order);
+            (history, g.packed().as_slice().to_vec())
+        };
+        for rule in
+            [Convergence::MaxCovariance { tol: 0.0 }, Convergence::OffFrobenius { tol: 0.0 }]
+        {
+            let (history, d) = run(rule);
+            let (last, busy) = history.split_last().unwrap();
+            assert!(history.len() < MAX_SWEEP_CAP, "{rule:?} ran to the cap");
+            assert_eq!(last.rotations_applied, 0, "{rule:?} stops at the idle sweep");
+            assert!(last.max_abs_cov > 0.0, "the criterion itself was not met");
+            assert!(busy.iter().all(|r| r.rotations_applied > 0), "{rule:?}");
+            // FixedSweeps runs on past the fixed point and changes no bit.
+            let (fixed, d_fixed) = run(Convergence::FixedSweeps(history.len() + 3));
+            assert_eq!(fixed.len(), history.len() + 3);
+            for r in &fixed[history.len()..] {
+                assert_eq!(SweepRecord { sweep: last.sweep, ..*r }, *last, "{rule:?}");
+            }
+            assert_eq!(d, d_fixed);
+        }
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   the dominant region runs on two contiguous slices (autovectorized via
 //!   [`ops::rotate_pair`]) and the strided regions walk incrementally with
 //!   no per-element offset math.
-//! * [`batch_params`] — rotation parameters for a whole round-robin pair
-//!   group at once, structure-of-arrays in (`D_ii`, `D_jj`, `D_ij` lanes)
-//!   and SoA out (`cos`, `sin`, `t` lanes), mirroring the independent
-//!   per-pair parameter units the paper's Fig. 6 schedules concurrently.
+//! * [`batch_params`] — rotation parameters for a chunk of one round's
+//!   disjoint pairs at once (the sweep engine's first pass, see
+//!   [`crate::engine::Sequential`]), structure-of-arrays in (`D_ii`, `D_jj`,
+//!   `D_ij` lanes) and SoA out (`cos`, `sin`, `t` lanes), mirroring the
+//!   independent per-pair parameter units the paper's Fig. 6 schedules
+//!   concurrently.
 //!
 //! # Bit-compat policy
 //!

@@ -24,6 +24,11 @@ pub struct SolveStats {
     pub sweeps: usize,
     /// Wall-clock seconds of each sweep, in execution order.
     pub sweep_seconds: Vec<f64>,
+    /// Wall-clock seconds of building `D = AᵀA` (the paper's preprocessor)
+    /// for the attempt that produced the result, timed once per solve; 0
+    /// where the solve did not build its own Gram matrix (the eigensolver
+    /// takes `D` as given, the SoA batch engine loads a whole batch at once).
+    pub gram_build_seconds: f64,
     /// Total wall-clock seconds across all sweeps (excludes the initial
     /// Gram build and the final factor-extraction stage).
     pub total_seconds: f64,
@@ -31,6 +36,11 @@ pub struct SolveStats {
     /// once after the sweep loop (excluded from `total_seconds`); 0 in
     /// values-only mode.
     pub columns_seconds: f64,
+    /// Wall-clock seconds of factor extraction after the sweeps: sorting the
+    /// spectrum, and in full mode normalizing `U = B·Σ⁻¹` and ordering the
+    /// columns of `U` and `V`. Timed once per solve; 0 where no
+    /// [`crate::HestenesSvd`] extraction ran (the SoA batch engine).
+    pub extract_seconds: f64,
     /// Rotations applied across all sweeps.
     pub rotations_applied: usize,
     /// Pairs skipped by the per-pair orthogonality guard across all sweeps.
@@ -86,7 +96,7 @@ impl SolveStats {
     /// a finite number, so `{:?}` formatting yields valid JSON numbers. The
     /// schema — field names, order, and types — is pinned by the round-trip
     /// through [`SolveStats::from_json`] in this module's tests, so the
-    /// documented sixteen-field shape cannot drift silently.
+    /// documented eighteen-field shape cannot drift silently.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut s = String::with_capacity(256);
@@ -101,8 +111,8 @@ impl SolveStats {
             s,
             concat!(
                 "{{\"engine\":\"{}\",\"ordering\":\"{}\",",
-                "\"sweeps\":{},\"sweep_seconds\":[{}],",
-                "\"total_seconds\":{:?},\"columns_seconds\":{:?},",
+                "\"sweeps\":{},\"sweep_seconds\":[{}],\"gram_build_seconds\":{:?},",
+                "\"total_seconds\":{:?},\"columns_seconds\":{:?},\"extract_seconds\":{:?},",
                 "\"rotations_applied\":{},\"rotations_skipped\":{},",
                 "\"workspace_allocations\":{},\"gram_bytes\":{},",
                 "\"gram_col_touches\":{},",
@@ -113,8 +123,10 @@ impl SolveStats {
             self.ordering,
             self.sweeps,
             sweep_seconds,
+            self.gram_build_seconds,
             self.total_seconds,
             self.columns_seconds,
+            self.extract_seconds,
             self.rotations_applied,
             self.rotations_skipped,
             self.workspace_allocations,
@@ -224,6 +236,14 @@ impl SolveStats {
                     st.columns_seconds = value.parse().ok()?;
                     1 << 15
                 }
+                "gram_build_seconds" => {
+                    st.gram_build_seconds = value.parse().ok()?;
+                    1 << 16
+                }
+                "extract_seconds" => {
+                    st.extract_seconds = value.parse().ok()?;
+                    1 << 17
+                }
                 _ => return None,
             };
             if seen & bit != 0 {
@@ -231,7 +251,7 @@ impl SolveStats {
             }
             seen |= bit;
         }
-        if seen != (1 << 16) - 1 {
+        if seen != (1 << 18) - 1 {
             return None; // missing field(s)
         }
         Some(st)
@@ -326,6 +346,8 @@ mod tests {
         st.pairs_skipped_by_threshold = 13;
         st.replans = 2;
         st.columns_seconds = 0.125;
+        st.gram_build_seconds = 0.0625;
+        st.extract_seconds = 0.03125;
         st
     }
 
@@ -357,6 +379,8 @@ mod tests {
         assert!(j.contains("\"pairs_skipped_by_threshold\":13"));
         assert!(j.contains("\"replans\":2"));
         assert!(j.contains("\"columns_seconds\":0.125"));
+        assert!(j.contains("\"gram_build_seconds\":0.0625"));
+        assert!(j.contains("\"extract_seconds\":0.03125"));
         // No trailing commas, balanced brackets — cheap well-formedness check.
         assert!(!j.contains(",]") && !j.contains(",}"));
         assert_eq!(j.matches('[').count(), j.matches(']').count());
@@ -389,6 +413,9 @@ mod tests {
         // Missing field.
         let missing = good.replacen("\"gram_col_touches\":56,", "", 1);
         assert_eq!(SolveStats::from_json(&missing), None);
+        for stage in ["\"gram_build_seconds\":0.0625,", "\"extract_seconds\":0.03125,"] {
+            assert_eq!(SolveStats::from_json(&good.replacen(stage, "", 1)), None, "{stage}");
+        }
         // Unknown engine string.
         let engine = good.replacen("batch-soa", "warp", 1);
         assert_eq!(SolveStats::from_json(&engine), None);

@@ -15,6 +15,7 @@ use crate::stats::SolveStats;
 use crate::trace::{emit_to, TraceEvent, TraceLevel, TraceSink};
 use crate::SvdError;
 use hj_matrix::{ops, Matrix};
+use std::time::Instant;
 
 /// Relative tolerance for the wide-matrix truncated-tail check: the
 /// discarded spectrum mass (sum of discarded `σ²`) must stay below this
@@ -457,7 +458,15 @@ impl HestenesSvd {
         let mut plan_buffers = ws.take_plan_buffers();
         loop {
             let presort = ordering == Ordering::ColumnNormPresort;
-            // Build this attempt's working state from the pristine input.
+            // Build this attempt's working state from the pristine input,
+            // timing the Gram build (the preprocessor) alone.
+            let mut gram_build_seconds = 0.0;
+            let mut build = |m: &Matrix| {
+                let t0 = Instant::now();
+                let gram = GramState::from_matrix(m);
+                gram_build_seconds = t0.elapsed().as_secs_f64();
+                gram
+            };
             let (mut gram, mut b, mut v, perm) = if full {
                 let mut b = a.clone();
                 apply_exp2(&mut b, exp);
@@ -468,23 +477,22 @@ impl HestenesSvd {
                 if let Some(perm) = &perm {
                     b = permuted_columns(&b, perm);
                 }
-                let gram = GramState::from_matrix(&b);
-                (gram, Some(b), Some(Matrix::identity(n)), perm)
+                (build(&b), Some(b), Some(Matrix::identity(n)), perm)
             } else if presort {
                 // Values-only: the spectrum is permutation-invariant, so the
                 // presorted Gram needs no bookkeeping at all.
                 let mut scaled = a.clone();
                 apply_exp2(&mut scaled, exp);
                 let perm = presort_permutation(&scaled);
-                (GramState::from_matrix(&permuted_columns(&scaled, &perm)), None, None, None)
+                (build(&permuted_columns(&scaled, &perm)), None, None, None)
             } else if exp == 0 {
                 // Values-only fast path: D is built straight off the caller's
                 // matrix, no clone.
-                (GramState::from_matrix(a), None, None, None)
+                (build(a), None, None, None)
             } else {
                 let mut scaled = a.clone();
                 apply_exp2(&mut scaled, exp);
-                (GramState::from_matrix(&scaled), None, None, None)
+                (build(&scaled), None, None, None)
             };
             let driver = SolveDriver { convergence: self.options.convergence, max_sweeps };
             let target = match (b.as_mut(), v.as_mut()) {
@@ -503,6 +511,7 @@ impl HestenesSvd {
                 stats.faults = total_faults;
                 stats.recoveries = recoveries;
                 stats.prescale_exp = exp;
+                stats.gram_build_seconds = gram_build_seconds;
                 ws.put_plan_buffers(plan_buffers);
                 // A·P·V = A·(P·V): row t of V is row perm[t] of the factor.
                 if let (Some(perm), Some(v)) = (&perm, v.as_mut()) {
@@ -566,7 +575,8 @@ impl HestenesSvd {
     /// wide-matrix tail check runs on the scaled spectrum — the ratio it
     /// tests is invariant under the uniform pre-scaling).
     fn finish_values(&self, a: &Matrix, solved: GuardedSolve) -> Result<SingularValues, SvdError> {
-        let GuardedSolve { gram, history, stats, scale_exp, .. } = solved;
+        let t0 = Instant::now();
+        let GuardedSolve { gram, history, mut stats, scale_exp, .. } = solved;
         let sweeps = history.len();
         let mut values = gram.singular_values_unsorted();
         values.sort_by(|x, y| y.partial_cmp(x).expect("finite values"));
@@ -584,6 +594,7 @@ impl HestenesSvd {
         }
         values.truncate(k);
         unscale_values(&mut values, scale_exp);
+        stats.extract_seconds = t0.elapsed().as_secs_f64();
         Ok(SingularValues { values, sweeps, history, stats })
     }
 
@@ -624,7 +635,8 @@ impl HestenesSvd {
     /// only `Σ` is unscaled at the end. `U` is `B` itself: its columns are
     /// scaled by `1/σ` and moved into σ order in place.
     fn finish_decompose(&self, a: &Matrix, solved: GuardedSolve) -> Result<Svd, SvdError> {
-        let GuardedSolve { b, v, history, stats, scale_exp, .. } = solved;
+        let t0 = Instant::now();
+        let GuardedSolve { b, v, history, mut stats, scale_exp, .. } = solved;
         let mut u = b.expect("full-mode solve forms B");
         let mut v = v.expect("full-mode solve accumulates V");
         let (m, n) = a.shape();
@@ -658,6 +670,7 @@ impl HestenesSvd {
         u.truncate_columns(k);
         v.truncate_columns(k);
         unscale_values(&mut sigma, scale_exp);
+        stats.extract_seconds = t0.elapsed().as_secs_f64();
         Ok(Svd { u, singular_values: sigma, v, sweeps, history, stats })
     }
 }
@@ -899,6 +912,10 @@ mod tests {
         assert_eq!(svd.stats.workspace_allocations, 0);
         let sv = solver.singular_values(&a).unwrap();
         assert_eq!(sv.stats.sweeps, sv.sweeps);
+        // Each stage is timed once per solve, in both modes.
+        for st in [&svd.stats, &sv.stats] {
+            assert!(st.gram_build_seconds > 0.0 && st.extract_seconds > 0.0, "{st:?}");
+        }
         assert!(sv.stats.to_json().contains("\"sweeps\""));
         assert!(sv.stats.to_json().contains("sequential"));
     }

@@ -794,6 +794,10 @@ mod tests {
         assert!(
             full.contains("\"columns_seconds\":") && !full.contains("\"columns_seconds\":0.0,")
         );
+        for stage in ["gram_build_seconds", "extract_seconds"] {
+            assert!(full.contains(&format!("\"{stage}\":")), "{stage} missing: {full}");
+            assert!(!full.contains(&format!("\"{stage}\":0.0,")), "{stage} untimed: {full}");
+        }
         run(&args(&["svd", &mp, "--values-only", "--stats", &sp])).unwrap();
         let vo = std::fs::read_to_string(&sp).unwrap();
         assert!(vo.contains("\"sweeps\":") && vo.contains("\"gram_bytes\":"));

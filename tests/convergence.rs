@@ -1,7 +1,7 @@
 //! Convergence behaviour across sizes, shapes, orderings, and stopping
 //! rules — the integration-level counterpart of the paper's §VI-C.
 
-use hjsvd::core::convergence::Convergence;
+use hjsvd::core::convergence::{Convergence, MAX_SWEEP_CAP};
 use hjsvd::core::{HestenesSvd, Ordering, SvdOptions};
 use hjsvd::matrix::gen;
 
@@ -129,4 +129,31 @@ fn convergence_is_seed_robust() {
         let drop = sv.history.last().unwrap().mean_abs_cov / sv.history[0].mean_abs_cov.max(1e-300);
         assert!(drop < 1e-5, "seed {seed}: only dropped to {drop:.3e} after 6 sweeps");
     }
+}
+
+#[test]
+fn solve_stops_at_the_fixed_point_with_the_same_spectrum() {
+    // From sweep 24 on, every pair passes the per-pair guard, yet the largest
+    // |D_ij| (5.1e-16) stays above what the default criterion asks for
+    // (1e-14·trace/n = 4.0e-16). A sweep that rotates nothing leaves D as
+    // it found it, so the solve stops there instead of idling to the cap.
+    let a = gen::with_condition_number(128, 128, 1e6, 42);
+    let sv = HestenesSvd::new(SvdOptions::default()).singular_values(&a).unwrap();
+    assert_eq!(sv.sweeps, 24);
+    let (last, busy) = sv.history.split_last().unwrap();
+    assert_eq!(last.rotations_applied, 0);
+    assert!(busy.iter().all(|r| r.rotations_applied > 0));
+    assert!(last.max_abs_cov > 1e-14 * sv.values.iter().map(|s| s * s).sum::<f64>() / 128.0);
+    // Running on to the cap (what a fixed sweep count still does) repeats
+    // the idle sweep and returns the same spectrum, bit for bit.
+    let capped = HestenesSvd::new(SvdOptions {
+        convergence: Convergence::FixedSweeps(MAX_SWEEP_CAP),
+        ..SvdOptions::default()
+    })
+    .singular_values(&a)
+    .unwrap();
+    assert_eq!(capped.sweeps, MAX_SWEEP_CAP);
+    assert_eq!(capped.history[..24], sv.history[..]);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&capped.values), bits(&sv.values));
 }

@@ -50,6 +50,10 @@ fn assert_finite_or_loud(a: &Matrix) -> Result<(), TestCaseError> {
             );
             prop_assert!(svd.u.as_slice().iter().all(|v| v.is_finite()), "NaN/∞ in U");
             prop_assert!(svd.v.as_slice().iter().all(|v| v.is_finite()), "NaN/∞ in V");
+            // A sweep that rotated nothing is a fixed point: the solve stops
+            // there and never sweeps past it.
+            let (_, busy) = svd.history.split_last().expect("at least one sweep");
+            prop_assert!(busy.iter().all(|r| r.rotations_applied > 0), "swept past an idle sweep");
         }
     }
     // Values-only path: same solve, same guarantee.

@@ -5,8 +5,10 @@
 //!
 //! * `kernel::batch_params` runs the exact `textbook_params` expression
 //!   chain per lane, so it is **bitwise** equal to the scalar kernel — 0 ulp,
-//!   well inside the ≤1 ulp budget. Against `hardware_params` it inherits
-//!   the existing textbook↔hardware pin (≤1e-12 absolute on `cos`/`sin`,
+//!   well inside the ≤1 ulp budget. The sweep engine computes every
+//!   rotation's parameters through it, so this pin guards the engine too.
+//!   Against `hardware_params` it inherits the existing textbook↔hardware
+//!   pin (≤1e-12 absolute on `cos`/`sin`,
 //!   `tests/properties.rs::hardware_equals_textbook`) — the two scalar
 //!   formulations legitimately differ by re-association.
 //! * `ops::rotate_pair` (lane-chunked + scalar tail) and
