@@ -11,7 +11,7 @@
 //! Run: `cargo run --release -p hj-bench --bin fig11 [--full]`
 
 use hj_bench::{has_flag, print_table, write_csv};
-use hj_core::ordering::{build_sweep, Ordering};
+use hj_core::ordering::round_robin;
 use hj_core::sweep::sweep_gram_only;
 use hj_core::GramState;
 use hj_matrix::gen;
@@ -25,7 +25,7 @@ fn main() {
         if full { &[256, 512, 1024, 2048] } else { &[64, 128, 256, 512, 1024] };
 
     println!("Fig. 11: mean |covariance| per sweep, column dimension n = {n}, various m\n");
-    let order = build_sweep(Ordering::RoundRobin, n);
+    let order = round_robin(n);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &m in rows_dims {

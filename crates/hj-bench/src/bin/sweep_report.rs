@@ -1,13 +1,11 @@
-//! Reproducible per-sweep benchmark: replay square problems under every
-//! pair-ordering strategy with the trace layer on, cross-check the trace
-//! against [`hj_core::SolveStats`], and emit a machine-readable
-//! `BENCH_sweep.json` report.
+//! Reproducible per-sweep benchmark: replay square problems with the trace
+//! layer on, cross-check the trace against [`hj_core::SolveStats`], and
+//! emit a machine-readable `BENCH_sweep.json` report.
 //!
-//! For each `n ∈ {32, 64, 128, 256}` the values-only solver runs once under
-//! the default cyclic ordering, then once under every non-default ordering
-//! (row-cyclic, sorted-greedy, de Rijk presort) plus the threshold-schedule
-//! composition of cyclic, greedy, and presort, so the report records
-//! `sweeps_to_converge` per (n, ordering). Every run carries a sweep-level
+//! For each `n ∈ {32, 64, 128, 256}` the values-only solver runs twice in
+//! the cyclic order: once with the default fixed pair guard and once with
+//! the default [`hj_core::ThresholdSchedule`] ramp, so the report records
+//! `sweeps_to_converge` per (n, schedule). Every run carries a sweep-level
 //! [`hj_core::RingBufferSink`]; the binary verifies, run by run, that the
 //! trace's `sweep_end` events agree with the solve's own accounting — same
 //! sweep count, same per-sweep rotation totals as the
@@ -29,7 +27,7 @@
 //! * **(a) Same counts as the record.** Each run's `sweeps_to_converge` and
 //!   per-sweep `rotations_applied` equal those of the committed
 //!   `BENCH_sweep.json`, read before this run overwrites it. A change to
-//!   the engine's arithmetic, the guard or an ordering shows here; a change
+//!   the engine's arithmetic, the guard or the ordering shows here; a change
 //!   meant to alter the counts must regenerate the record with it.
 //! * **(b) Every run stops before the cap.** No run may reach
 //!   [`MAX_SWEEP_CAP`] sweeps: a solve that idles to the cap has not found
@@ -41,25 +39,12 @@
 use hj_bench::{fmt_secs, print_table};
 use hj_core::convergence::MAX_SWEEP_CAP;
 use hj_core::{
-    HestenesSvd, Ordering, RingBufferSink, SolveRequest, SvdOptions, ThresholdSchedule, TraceEvent,
+    HestenesSvd, RingBufferSink, SolveRequest, SvdOptions, ThresholdSchedule, TraceEvent,
     TraceLevel,
 };
 use hj_matrix::gen;
 
 const SIZES: [usize; 4] = [32, 64, 128, 256];
-/// The ordering grid: every non-default strategy plain, plus the
-/// threshold-schedule composition of the three orderings where thresholding
-/// is productive or load-bearing (row-cyclic + threshold is a known
-/// regression — single-pair rounds defer too much work — so it is excluded
-/// from the grid rather than silently reported as a recommendation).
-const ORDERING_GRID: [(Ordering, bool); 6] = [
-    (Ordering::RowCyclic, false),
-    (Ordering::SortedGreedy, false),
-    (Ordering::ColumnNormPresort, false),
-    (Ordering::RoundRobin, true),
-    (Ordering::SortedGreedy, true),
-    (Ordering::ColumnNormPresort, true),
-];
 const SEED: u64 = 42;
 const BREAKDOWN_N: usize = 128;
 const REPORT_PATH: &str = "BENCH_sweep.json";
@@ -73,7 +58,7 @@ struct SweepLine {
     seconds: f64,
 }
 
-/// One (n, ordering) run: the solve's own record plus the trace's view of
+/// One (n, schedule) run: the solve's own record plus the trace's view of
 /// it.
 struct Run {
     n: usize,
@@ -91,26 +76,15 @@ struct Run {
 
 /// Run one traced solve and cross-check trace against stats; pushes the run
 /// (on success) and returns the number of cross-check failures.
-fn run_one(
-    a: &hj_matrix::Matrix,
-    n: usize,
-    ordering: Ordering,
-    threshold: bool,
-    runs: &mut Vec<Run>,
-) -> usize {
+fn run_one(a: &hj_matrix::Matrix, n: usize, threshold: bool, runs: &mut Vec<Run>) -> usize {
     let solver = HestenesSvd::new(SvdOptions {
-        ordering,
         threshold: threshold.then(ThresholdSchedule::default),
         ..SvdOptions::default()
     });
     // Sweep level emits 3 events per sweep (start, end, convergence check)
     // plus recoveries; 4096 slots hold any realistic solve.
     let mut sink = RingBufferSink::new(4096);
-    let label = if threshold {
-        format!("{}+threshold", ordering.name())
-    } else {
-        ordering.name().to_string()
-    };
+    let label = if threshold { "cyclic+threshold" } else { "cyclic" };
     let req = SolveRequest::default().with_trace(&mut sink, TraceLevel::Sweep);
     let sv = match solver.singular_values_with(a, req) {
         Ok(sv) => sv,
@@ -176,7 +150,7 @@ fn run_one(
     runs.push(Run {
         n,
         engine: sv.stats.engine,
-        ordering: ordering.name(),
+        ordering: sv.stats.ordering,
         threshold,
         sweeps: sv.sweeps,
         trace_events: sink.recorded(),
@@ -199,13 +173,12 @@ fn main() {
 
     for &n in &SIZES {
         let a = gen::uniform(n, n, SEED);
-        failures += run_one(&a, n, Ordering::RoundRobin, false, &mut runs);
-        for &(ordering, threshold) in &ORDERING_GRID {
-            failures += run_one(&a, n, ordering, threshold, &mut runs);
+        for threshold in [false, true] {
+            failures += run_one(&a, n, threshold, &mut runs);
         }
     }
 
-    println!("sweep_report: sizes × orderings with sweep-level tracing on (seed {SEED})\n");
+    println!("sweep_report: sizes × schedules with sweep-level tracing on (seed {SEED})\n");
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|r| {
@@ -221,40 +194,23 @@ fn main() {
         .collect();
     print_table(&["n", "ordering", "sweeps", "rotations", "final off-F", "total"], &rows);
 
-    println!("\nsweeps_to_converge by ordering:");
+    println!("\nsweeps_to_converge by schedule:");
     let mut rows: Vec<Vec<String>> = Vec::new();
     for &n in &SIZES {
-        let sweeps_of = |ordering: &str, threshold: bool| {
+        let sweeps_of = |threshold: bool| {
             runs.iter()
-                .find(|r| {
-                    r.n == n
-                        && r.engine == "sequential"
-                        && r.ordering == ordering
-                        && r.threshold == threshold
-                })
+                .find(|r| r.n == n && r.threshold == threshold)
                 .map(|r| r.sweeps.to_string())
                 .unwrap_or_else(|| "-".into())
         };
-        rows.push(vec![
-            n.to_string(),
-            sweeps_of("cyclic", false),
-            sweeps_of("row-cyclic", false),
-            sweeps_of("greedy", false),
-            sweeps_of("presort", false),
-            sweeps_of("cyclic", true),
-            sweeps_of("greedy", true),
-            sweeps_of("presort", true),
-        ]);
+        rows.push(vec![n.to_string(), sweeps_of(false), sweeps_of(true)]);
     }
-    print_table(
-        &["n", "cyclic", "row", "greedy", "presort", "cyclic+th", "greedy+th", "presort+th"],
-        &rows,
-    );
+    print_table(&["n", "cyclic", "cyclic+th"], &rows);
 
     println!("\nper-sweep breakdown at n = {BREAKDOWN_N} (from sweep_end trace events):");
     let rows: Vec<Vec<String>> = runs
         .iter()
-        .filter(|r| r.n == BREAKDOWN_N && r.ordering == "cyclic" && !r.threshold)
+        .filter(|r| r.n == BREAKDOWN_N && !r.threshold)
         .flat_map(|r| {
             r.per_sweep.iter().map(|s| {
                 vec![
@@ -469,7 +425,7 @@ mod tests {
     }
 
     fn runs() -> Vec<Run> {
-        vec![run(8, "cyclic", false, &[10, 9, 4, 0]), run(8, "greedy", true, &[7, 10, 2])]
+        vec![run(8, "cyclic", false, &[10, 9, 4, 0]), run(16, "cyclic", true, &[7, 10, 2])]
     }
 
     #[test]

@@ -82,9 +82,19 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// Write rows as CSV to `bench_results/<name>.csv` (creating the directory),
 /// returning the path. Values are written as-is; callers quote if needed.
 pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<String> {
+    write_csv_in("bench_results", name, headers, rows)
+}
+
+/// [`write_csv`] into `dir` instead of `bench_results`.
+fn write_csv_in(
+    dir: &str,
+    name: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> std::io::Result<String> {
     use std::io::Write;
-    std::fs::create_dir_all("bench_results")?;
-    let path = format!("bench_results/{name}.csv");
+    std::fs::create_dir_all(dir)?;
+    let path = format!("{dir}/{name}.csv");
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
     writeln!(f, "{}", headers.join(","))?;
     for row in rows {
@@ -138,11 +148,15 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
+        // Under the temporary directory, so testing leaves the source tree
+        // as it found it.
+        let dir = std::env::temp_dir().join("hj_bench_csv_roundtrip");
+        let dir = dir.to_str().unwrap();
         let rows = vec![vec!["1".to_string(), "2".to_string()]];
-        let path = write_csv("test_csv", &["a", "b"], &rows).unwrap();
+        let path = write_csv_in(dir, "test_csv", &["a", "b"], &rows).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -98,13 +98,12 @@ impl HestenesSvd {
     }
 
     /// [`HestenesSvd::singular_values_batch`] over caller-owned SoA
-    /// scratch. Uniform-shape batches of small problems (`2 ≤ n ≤ 32`,
-    /// default cyclic ordering, no threshold ramp) run the batched SoA
+    /// scratch. Uniform-shape batches of small problems (`2 ≤ n ≤ 32`, no
+    /// threshold ramp) run the batched SoA
     /// engine ([`BatchDriver::solve`]) on `ws`, which sweeps every problem
     /// together — same per-slot error isolation, results within the
     /// documented `1e-12·σ_max` envelope of the looped path. Everything
-    /// else (mixed shapes, larger problems, other orderings or a threshold
-    /// ramp) takes [`HestenesSvd::singular_values_batch_looped`], which
+    /// else (mixed shapes, larger problems or a threshold ramp) takes [`HestenesSvd::singular_values_batch_looped`], which
     /// stays bit-identical to one-at-a-time solves and manages its own
     /// scalar workspaces. Long-lived servers keep one warm
     /// [`BatchWorkspace`] per worker and route every bulk job through this.

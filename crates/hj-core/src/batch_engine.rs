@@ -45,7 +45,7 @@
 //!   still-active problem at the shared sweep boundary.
 //!
 //! Fault handling is deliberately *abort-only* per problem (no
-//! rescale-restart / engine-fallback recovery inside the batch): restarting
+//! rescale-restart / budget-escalation recovery inside the batch): restarting
 //! one lane would force the whole batch through extra shared sweeps. The
 //! guarded-numerics prescaling of [`crate::svd`] still applies per problem
 //! at pack time, so the usual overflow/underflow classes never fault in the
@@ -63,7 +63,7 @@
 
 use crate::convergence::{is_converged, Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::kernel::{batch_params_soa, rotate_packed_soa};
-use crate::ordering::{round_robin, Ordering};
+use crate::ordering::round_robin;
 use crate::recovery::{Fault, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR};
 use crate::stats::SolveStats;
 use crate::svd::{prescale_exponent, unscale_values, HestenesSvd, SingularValues, WIDE_TAIL_TOL};
@@ -754,15 +754,14 @@ fn scale_exact(values: &mut [f64], k: i32) {
 
 /// True when [`crate::HestenesSvd::singular_values_batch`] should route the
 /// batch through the SoA engine: at least two problems, one uniform shape,
-/// `2 ≤ n ≤` [`SOA_DISPATCH_MAX_N`], and the solver running the default
-/// cyclic ordering with no threshold ramp (the configurations whose
-/// semantics the batch engine reproduces).
+/// `2 ≤ n ≤` [`SOA_DISPATCH_MAX_N`], and the solver running with no
+/// threshold ramp (the configurations whose semantics the batch engine
+/// reproduces).
 pub(crate) fn soa_eligible(solver: &HestenesSvd, mats: &[Matrix]) -> bool {
     if mats.len() < 2 {
         return false;
     }
-    let opts = solver.options();
-    if opts.ordering != Ordering::RoundRobin || opts.threshold.is_some() {
+    if solver.options().threshold.is_some() {
         return false;
     }
     let shape = mats[0].shape();
@@ -998,8 +997,10 @@ mod tests {
         assert!(!soa_eligible(&solver, &mixed), "mixed shapes stay looped");
         let big = uniform_batch(40, SOA_DISPATCH_MAX_N + 1, 3);
         assert!(!soa_eligible(&solver, &big), "n above the gate stays looped");
-        let greedy =
-            HestenesSvd::new(SvdOptions { ordering: Ordering::SortedGreedy, ..Default::default() });
-        assert!(!soa_eligible(&greedy, &uniform), "non-cyclic orderings stay looped");
+        let ramp = HestenesSvd::new(SvdOptions {
+            threshold: Some(crate::ThresholdSchedule::default()),
+            ..Default::default()
+        });
+        assert!(!soa_eligible(&ramp, &uniform), "a threshold ramp stays looped");
     }
 }

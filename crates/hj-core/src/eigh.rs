@@ -12,7 +12,7 @@
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
-use crate::ordering::{Ordering, PlanBuffers, SweepSchedule};
+use crate::ordering::SweepWorkspace;
 use crate::recovery::HealthCheck;
 use crate::stats::SolveStats;
 use crate::SvdError;
@@ -56,30 +56,6 @@ pub struct SymmetricEigen {
 /// assert!((e.eigenvalues[1] - 1.0).abs() < 1e-12);
 /// ```
 pub fn eigh(s: &PackedSymmetric, tol: f64) -> Result<SymmetricEigen, SvdError> {
-    eigh_ordered(s, tol, Ordering::RoundRobin)
-}
-
-/// [`eigh`] with an explicit pair-ordering strategy.
-///
-/// Any ordering with per-sweep plans is accepted **except**
-/// [`Ordering::ColumnNormPresort`]: the presort ranks pivot columns by
-/// descending column norm, which is a convergence heuristic for the
-/// positive-semidefinite Gram spectrum. On an indefinite symmetric matrix
-/// the diagonal carries both signs, so "largest norm first" no longer
-/// orders pivots by dominance and the heuristic silently degrades into a
-/// slow, arbitrary order. That combination is rejected up front with
-/// [`SvdError::OrderingUnsupported`] instead.
-pub fn eigh_ordered(
-    s: &PackedSymmetric,
-    tol: f64,
-    ordering: Ordering,
-) -> Result<SymmetricEigen, SvdError> {
-    if ordering == Ordering::ColumnNormPresort {
-        return Err(SvdError::OrderingUnsupported {
-            ordering: ordering.name(),
-            context: "the indefinite eigensolver",
-        });
-    }
     let n = s.dim();
     if n == 0 {
         return Err(SvdError::EmptyInput);
@@ -89,9 +65,8 @@ pub fn eigh_ordered(
     }
     let mut g = GramState::from_packed(s.clone());
     let mut v = Matrix::identity(n);
-    let mut buffers = PlanBuffers::new();
-    let (strategy, plan) = buffers.schedule_parts(ordering);
-    let mut schedule = SweepSchedule { strategy, plan, threshold: None };
+    let mut ws = SweepWorkspace::new();
+    let mut schedule = ws.schedule(None);
     let driver = SolveDriver { convergence: Convergence::NoRotations, max_sweeps: MAX_SWEEP_CAP };
     let mut state = SweepState {
         gram: &mut g,
@@ -129,16 +104,6 @@ pub fn eigh_ordered(
 /// Convenience: eigendecompose a dense symmetric matrix (symmetry is
 /// enforced by averaging `(S + Sᵀ)/2` into the packed form).
 pub fn eigh_dense(s: &Matrix, tol: f64) -> Result<SymmetricEigen, SvdError> {
-    eigh_dense_ordered(s, tol, Ordering::RoundRobin)
-}
-
-/// [`eigh_dense`] with an explicit pair-ordering strategy; rejects
-/// [`Ordering::ColumnNormPresort`] like [`eigh_ordered`].
-pub fn eigh_dense_ordered(
-    s: &Matrix,
-    tol: f64,
-    ordering: Ordering,
-) -> Result<SymmetricEigen, SvdError> {
     let (m, n) = s.shape();
     if m != n {
         return Err(SvdError::EmptyInput);
@@ -149,7 +114,7 @@ pub fn eigh_dense_ordered(
             p.set(i, j, 0.5 * (s.get(i, j) + s.get(j, i)));
         }
     }
-    eigh_ordered(&p, tol, ordering)
+    eigh(&p, tol)
 }
 
 #[cfg(test)]
@@ -282,42 +247,6 @@ mod tests {
         s.set(0, 1, f64::NAN);
         assert!(matches!(eigh(&s, 1e-14), Err(SvdError::NonFiniteInput)));
         assert!(matches!(eigh_dense(&Matrix::zeros(2, 3), 1e-14), Err(SvdError::EmptyInput)));
-    }
-
-    #[test]
-    fn presort_ordering_is_rejected_on_the_indefinite_path() {
-        // Regression: descending-column-norm presort assumes a PSD spectrum;
-        // on an indefinite matrix it used to be accepted and just converge
-        // slowly. It must now fail fast with a structured error.
-        let a = gen::uniform(12, 5, 11);
-        let err = eigh_ordered(&a.gram(), 1e-14, Ordering::ColumnNormPresort).unwrap_err();
-        assert_eq!(
-            err,
-            SvdError::OrderingUnsupported {
-                ordering: "presort",
-                context: "the indefinite eigensolver"
-            }
-        );
-        // Every other ordering still solves, and the spectra agree.
-        let reference = eigh(&a.gram(), 1e-14).unwrap();
-        for ordering in [Ordering::RoundRobin, Ordering::RowCyclic, Ordering::SortedGreedy] {
-            let e = eigh_ordered(&a.gram(), 1e-14, ordering).unwrap();
-            check_decomposition(&a.gram(), &e, 1e-9);
-            for (got, want) in e.eigenvalues.iter().zip(&reference.eigenvalues) {
-                assert!((got - want).abs() < 1e-9 * want.abs().max(1.0));
-            }
-            assert_eq!(e.stats.ordering, ordering.name());
-        }
-    }
-
-    #[test]
-    fn cyclic_eigh_ordered_matches_eigh_bitwise() {
-        let a = gen::uniform(16, 6, 12);
-        let plain = eigh(&a.gram(), 1e-14).unwrap();
-        let routed = eigh_ordered(&a.gram(), 1e-14, Ordering::RoundRobin).unwrap();
-        assert_eq!(plain.eigenvalues, routed.eigenvalues);
-        assert_eq!(plain.eigenvectors.as_slice(), routed.eigenvectors.as_slice());
-        assert_eq!(plain.sweeps, routed.sweeps);
     }
 
     #[test]

@@ -234,7 +234,7 @@ const ROUND_CHUNK: usize = 16;
 
 /// The in-place round-at-a-time engine — Algorithm 1's data flow, with each
 /// round's rotation parameters computed ahead of its updates. Stateless and
-/// allocation-free; works with any pair ordering.
+/// allocation-free; works with any plan of disjoint rounds.
 ///
 /// Each round is walked in chunks of at most 16 pairs (`ROUND_CHUNK`), in
 /// two passes: first every pair's `(D_ii, D_jj, D_ij)` is read, the guard
@@ -760,7 +760,7 @@ mod tests {
     fn scheduled_cyclic_run_is_bit_identical_to_static_run() {
         // The schedule-driven driver with the Cyclic strategy must be the
         // pre-subsystem static round-robin loop, bit for bit.
-        use crate::ordering::{Cyclic, PlanBuffers, SweepSchedule};
+        use crate::ordering::{Cyclic, SweepSchedule, SweepWorkspace};
         let a = gen::uniform(40, 12, 31);
         let order = round_robin(12);
         let run_static = || {
@@ -801,16 +801,15 @@ mod tests {
         assert_eq!(s1.ordering, "", "preplanned runs report no ordering");
         assert_eq!(s2.replans, 1, "cyclic plans once");
 
-        // PlanBuffers parts drive the same loop identically.
+        // The workspace's schedule drives the same loop identically.
         let mut g = GramState::from_matrix(&a);
         let mut st = SweepState {
             gram: &mut g,
             target: RotationTarget::gram_only(),
             guard: PairGuard::default(),
         };
-        let mut bufs = PlanBuffers::new();
-        let (strategy, plan) = bufs.schedule_parts(crate::ordering::Ordering::RoundRobin);
-        let mut schedule = SweepSchedule { strategy, plan, threshold: None };
+        let mut ws = SweepWorkspace::new();
+        let mut schedule = ws.schedule(None);
         driver().run_monitored(
             &mut Sequential,
             &mut st,
@@ -818,31 +817,6 @@ mod tests {
             &mut SolveMonitor::passive(),
         );
         assert_eq!(g.packed().as_slice(), d1.as_slice());
-    }
-
-    #[test]
-    fn greedy_schedule_converges_and_counts_replans() {
-        use crate::ordering::{SortedGreedy, SweepSchedule};
-        let a = gen::uniform(40, 14, 17);
-        let mut g = GramState::from_matrix(&a);
-        let mut st = SweepState {
-            gram: &mut g,
-            target: RotationTarget::gram_only(),
-            guard: PairGuard::default(),
-        };
-        let mut strat = SortedGreedy::new();
-        let mut plan = crate::ordering::Sweep::new();
-        let mut schedule = SweepSchedule { strategy: &mut strat, plan: &mut plan, threshold: None };
-        let run = driver().run_monitored(
-            &mut Sequential,
-            &mut st,
-            &mut schedule,
-            &mut SolveMonitor::passive(),
-        );
-        assert_eq!(run.fault, None);
-        assert_eq!(run.stats.ordering, "greedy");
-        assert_eq!(run.stats.replans, run.stats.sweeps, "greedy replans every sweep");
-        assert!(g.max_abs_covariance() <= 1e-14 * (g.trace() / 14.0).max(f64::MIN_POSITIVE));
     }
 
     #[test]
@@ -955,15 +929,17 @@ mod tests {
     /// the stats counters, and the trace with wall times zeroed.
     type RunBits = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<[u64; 6]>, [usize; 6], Vec<TraceEvent>);
 
+    /// Run `a` to convergence on `engine`: over the cyclic schedule when
+    /// `plan` is `None`, otherwise over `plan` every sweep.
     fn run_bits(
         engine: &mut dyn SweepEngine,
         a: &Matrix,
-        ordering: crate::ordering::Ordering,
+        plan: Option<&Sweep>,
         threshold: bool,
         guard: PairGuard,
         target: usize,
     ) -> RunBits {
-        use crate::ordering::{PlanBuffers, ThresholdSchedule};
+        use crate::ordering::{SweepWorkspace, ThresholdSchedule};
         use crate::trace::RingBufferSink;
         let n = a.cols();
         let mut g = GramState::from_matrix(a);
@@ -974,10 +950,13 @@ mod tests {
             _ => RotationTarget::full(&mut b, &mut v),
         };
         let mut st = SweepState { gram: &mut g, target, guard };
-        let mut bufs = PlanBuffers::new();
-        let (strategy, plan) = bufs.schedule_parts(ordering);
         let threshold = threshold.then(ThresholdSchedule::default);
-        let mut schedule = SweepSchedule { strategy, plan, threshold };
+        let (mut ws, mut fixed) = (SweepWorkspace::new(), plan.cloned().unwrap_or_default());
+        let mut preplanned = Preplanned;
+        let mut schedule = match plan {
+            None => ws.schedule(threshold),
+            Some(_) => SweepSchedule { strategy: &mut preplanned, plan: &mut fixed, threshold },
+        };
         let mut sink = RingBufferSink::new(1 << 20);
         let mut mon = SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default())
             .with_trace(&mut sink, TraceLevel::Rotation);
@@ -1038,39 +1017,95 @@ mod tests {
         )
     }
 
+    /// Every pair of `n` columns in its own round, starting from a
+    /// seed-chosen pair of Algorithm 1's row-major loop nest.
+    fn one_pair_rounds(n: usize, seed: u64) -> Sweep {
+        let mut pairs: Vec<_> = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
+        let start = seed as usize % pairs.len().max(1);
+        pairs.rotate_left(start);
+        Sweep::from_rounds(pairs.into_iter().map(|p| vec![p]).collect())
+    }
+
+    /// Rounds of uneven length: the first round-robin round (`⌊n/2⌋`
+    /// pairs, two chunks once `n > 2·ROUND_CHUNK`), then every other pair
+    /// in a seed-shuffled order, first-fit into the earliest round where
+    /// both columns are free.
+    fn mixed_rounds(n: usize, seed: u64) -> Sweep {
+        let first = crate::ordering::round_robin(n).rounds().first().cloned().unwrap_or_default();
+        let mut rest: Vec<_> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter(|p| !first.contains(p))
+            .collect();
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        for k in (1..rest.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rest.swap(k, (state >> 33) as usize % (k + 1));
+        }
+        let mut rounds = vec![first];
+        for (i, j) in rest {
+            let free = |r: &Vec<(usize, usize)>| {
+                r.iter().all(|&(p, q)| p != i && p != j && q != i && q != j)
+            };
+            match rounds.iter_mut().skip(1).find(|r| free(r)) {
+                Some(round) => round.push((i, j)),
+                None => rounds.push(vec![(i, j)]),
+            }
+        }
+        Sweep::from_rounds(rounds)
+    }
+
+    #[test]
+    fn irregular_reference_plans_are_disjoint_full_and_uneven() {
+        for n in [2usize, 5, 17, 34, 43] {
+            for plan in [one_pair_rounds(n, 7), mixed_rounds(n, 7)] {
+                assert!(plan.rounds().iter().all(|r| pairs_disjoint(r)), "n {n}");
+                let mut pairs: Vec<_> = plan.pairs().collect();
+                pairs.sort_unstable();
+                pairs.dedup();
+                assert_eq!(pairs.len(), n * (n - 1) / 2, "n {n}: every pair once");
+                assert_eq!(plan.pair_count(), pairs.len());
+            }
+            assert_eq!(one_pair_rounds(n, 7).round_count(), n * (n - 1) / 2);
+        }
+        let mixed = mixed_rounds(43, 7);
+        let lens: Vec<_> = mixed.rounds().iter().map(Vec::len).collect();
+        assert!(lens[0] > ROUND_CHUNK, "the first round spans two chunks: {lens:?}");
+        assert!(lens.iter().any(|&l| l != lens[0]), "rounds are uneven: {lens:?}");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// The round-at-a-time unit computes exactly what the pair-at-a-time
         /// loop does: same `D`, `B`, `V`, history, counters and rotation-level
         /// trace, bit for bit — for odd and even `n` (up to rounds that span
-        /// two chunks), every ordering with and without the threshold
-        /// ramp, both guards, and all three targets.
+        /// two chunks), the cyclic schedule and hand-built plans of one-pair
+        /// and of uneven rounds, with and without the threshold ramp, both
+        /// guards, and all three targets.
         #[test]
         fn round_at_a_time_matches_pair_at_a_time_bitwise(
             n in 2usize..(2 * ROUND_CHUNK + 12),
             extra in 0usize..9,
             seed in 0u64..1000,
-            ordering in 0usize..4,
+            plan in 0usize..3,
             threshold in proptest::prelude::any::<bool>(),
             (guard, target) in (0usize..2, 0usize..3),
         ) {
-            use crate::ordering::Ordering;
-            let ordering = [
-                Ordering::RoundRobin,
-                Ordering::RowCyclic,
-                Ordering::SortedGreedy,
-                Ordering::ColumnNormPresort,
-            ][ordering];
+            let plan = match plan {
+                0 => None,
+                1 => Some(one_pair_rounds(n, seed)),
+                _ => Some(mixed_rounds(n, seed)),
+            };
             let guard = if guard == 0 {
                 PairGuard::default()
             } else {
                 PairGuard::DiagonalScale { tol: 1e-14 }
             };
             let a = gen::uniform(n + extra, n, seed);
-            let want = run_bits(&mut PairAtATime, &a, ordering, threshold, guard, target);
-            let got = run_bits(&mut Sequential, &a, ordering, threshold, guard, target);
-            proptest::prop_assert!(got == want, "n {n} {ordering:?} th {threshold} {guard:?} target {target}");
+            let want = run_bits(&mut PairAtATime, &a, plan.as_ref(), threshold, guard, target);
+            let got = run_bits(&mut Sequential, &a, plan.as_ref(), threshold, guard, target);
+            let rounds = plan.as_ref().map(Sweep::round_count);
+            proptest::prop_assert!(got == want, "n {n} rounds {rounds:?} th {threshold} {guard:?} target {target}");
         }
     }
 

@@ -18,14 +18,11 @@
 //!   run on: the three-region packed rotation and SoA-batched rotation
 //!   parameters (bit-identical to the scalar paths; see the module's
 //!   bit-compat policy).
-//! * [`ordering`] — the pluggable sweep-schedule subsystem: the
-//!   [`ordering::OrderingStrategy`] trait planning each sweep's rounds of
-//!   disjoint pairs, the cyclic round-robin pairing (the paper's Fig. 6),
-//!   the row-cyclic order of the pseudocode, the adaptive sorted-greedy
-//!   planner, the de Rijk column-norm presort, and the
-//!   [`ordering::ThresholdSchedule`] rotation-threshold ramp composable
-//!   with any ordering; plus the [`SweepWorkspace`] that pools their plan
-//!   buffers across solves.
+//! * [`ordering`] — the sweep schedule: the round-robin cyclic pairing
+//!   (the paper's Fig. 6, the only ordering) planned by
+//!   [`ordering::Cyclic`] behind the [`ordering::OrderingStrategy`] trait,
+//!   the [`ordering::ThresholdSchedule`] rotation-threshold ramp over it,
+//!   and the [`SweepWorkspace`] that caches the plan across solves.
 //! * [`engine`] — the unified sweep pipeline: the [`engine::SweepEngine`]
 //!   trait, the [`engine::RotationTarget`] / [`engine::PairGuard`]
 //!   abstractions, the in-place [`engine::Sequential`] engine (the only
@@ -51,8 +48,8 @@
 //!   (the paper's Figs. 10–11 metric).
 //! * [`recovery`] — the fault-tolerance layer: [`recovery::Fault`]
 //!   taxonomy, per-sweep [`recovery::HealthCheck`], the
-//!   [`recovery::RecoveryPolicy`] lattice (rescale / ordering fallback /
-//!   budget escalation / abort), and [`recovery::SolveBudget`]
+//!   [`recovery::RecoveryPolicy`] lattice (rescale / budget escalation /
+//!   abort), and [`recovery::SolveBudget`]
 //!   deadline/cancellation.
 //! * `inject` *(feature `fault-injection` only)* — deterministic
 //!   fault-injection harness used by the robustness test campaign; compiles
@@ -113,8 +110,7 @@ pub use gram::{DiagonalScan, GramState};
 #[cfg(feature = "fault-injection")]
 pub use inject::{Corruption, FaultInjector, SeededInjector};
 pub use ordering::{
-    Ordering, OrderingKind, OrderingStrategy, PlanBuffers, SweepSchedule, SweepWorkspace,
-    ThresholdSchedule,
+    Ordering, OrderingKind, OrderingStrategy, SweepSchedule, SweepWorkspace, ThresholdSchedule,
 };
 pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, RecoveryAction, RecoveryPolicy, SolveBudget};

@@ -1,28 +1,25 @@
-//! Vector-pairing orderings (the paper's §V-D) as a pluggable subsystem.
+//! Vector pairing (the paper's §V-D): the round-robin cyclic order.
 //!
-//! A sweep must visit every unordered column pair at most once
-//! (`n(n−1)/2` pairs for the classical cyclic family). The *order* matters
-//! twice over:
+//! A sweep must visit every unordered column pair once (`n(n−1)/2` pairs).
+//! The round-robin ("caterpillar"/Brent-Luk) cyclic order is the paper's
+//! Fig. 6 order and the only one the crate plans. It matters twice over:
 //!
 //! * **Convergence** — cyclic orderings are the classical provably-convergent
-//!   family; data-adaptive orderings (largest pivots first) often converge in
-//!   fewer sweeps but lack the classical proof, which is why the recovery
-//!   lattice can fall back to cyclic on a stall.
-//! * **Parallelism** — the round-robin ("caterpillar"/Brent-Luk) cyclic order
-//!   arranges each sweep into `rounds` of **pairwise-disjoint** pairs, which
-//!   is exactly what lets the paper's hardware (Fig. 6) issue groups of
-//!   rotations concurrently. The software engine visits the pairs one at a
-//!   time; the GPU baseline model (`hj-baselines::gpu_model`) charges one
-//!   barrier per round.
+//!   family.
+//! * **Parallelism** — the order arranges each sweep into `rounds` of
+//!   **pairwise-disjoint** pairs, which is exactly what lets the paper's
+//!   hardware (Fig. 6) issue groups of rotations concurrently. The
+//!   sequential engine relies on it too: it computes a chunk of a round's
+//!   rotation parameters before applying any of them. The GPU baseline
+//!   model (`hj-baselines::gpu_model`) charges one barrier per round.
 //!
-//! The subsystem has three layers:
+//! The module has three layers:
 //!
 //! * [`Sweep`] — one sweep's plan: rounds of disjoint pairs.
-//! * [`OrderingStrategy`] — plans each sweep's rounds, possibly *adaptively*
-//!   from the current Gram state (e.g. [`SortedGreedy`] sorts pairs by
-//!   relative covariance). Strategies own their scratch and recycle the
-//!   plan's round
-//!   vectors, so steady-state replanning is allocation-free.
+//! * [`OrderingStrategy`] — plans each sweep's rounds. [`Cyclic`] plans the
+//!   round-robin rounds once per dimension and reuses them; [`Preplanned`]
+//!   runs a caller-built plan unchanged. Strategies own their scratch and
+//!   recycle the plan's round vectors, so replanning is allocation-free.
 //! * [`SweepSchedule`] — the strategy + plan buffer + optional
 //!   [`ThresholdSchedule`] bundle the [`crate::engine::SolveDriver`] consumes.
 
@@ -102,115 +99,45 @@ impl Sweep {
         self.rounds.last_mut().expect("round just pushed")
     }
 
-    /// Mutable access to round `r` (must exist) — used by the greedy
-    /// strategy's first-fit matcher.
-    pub(crate) fn round_mut(&mut self, r: usize) -> &mut Vec<(usize, usize)> {
-        &mut self.rounds[r]
+    /// A plan of the given rounds, taken as they are (tests build irregular
+    /// disjoint plans with it).
+    #[cfg(test)]
+    pub(crate) fn from_rounds(rounds: Vec<Vec<(usize, usize)>>) -> Sweep {
+        Sweep { rounds }
     }
 }
 
-/// Pairing order selection for the sweep drivers.
+/// The pair ordering a solve is scheduled with.
 ///
-/// `OrderingKind` is the name the options/wire layers use for this enum; the
-/// two are the same type (see [`OrderingKind`]).
+/// The round-robin cyclic order is the only one; the type names it in
+/// [`OrderingStrategy::kind`] and gives the wire protocol its ordering byte
+/// ([`Ordering::index`]). `OrderingKind` is the name the options/wire
+/// layers use for this enum; the two are the same type (see
+/// [`OrderingKind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Ordering {
     /// Round-robin (tournament) cyclic order: `n−1` rounds of `⌊n/2⌋`
-    /// disjoint pairs — the paper's Fig. 6 order and the library default.
-    /// Provably convergent.
+    /// disjoint pairs — the paper's Fig. 6 order. Provably convergent.
     #[default]
     RoundRobin,
-    /// Row-cyclic order: `(0,1), (0,2), …, (0,n−1), (1,2), …` — the literal
-    /// loop nest of Algorithm 1. Sequential only (rounds of one pair).
-    RowCyclic,
-    /// Data-adaptive greedy order: every sweep re-sorts all pairs by the
-    /// current relative covariance `D_ij²/(D_ii·D_jj)` (largest first) and
-    /// first-fit-matches them into disjoint rounds. Typically converges in
-    /// fewer sweeps than cyclic, but
-    /// lacks the classical convergence proof — the recovery lattice can fall
-    /// back to [`Ordering::RoundRobin`] on a stall.
-    SortedGreedy,
-    /// de Rijk-style column presort: columns are permuted once up front into
-    /// descending-norm order, then swept with the round-robin cyclic order;
-    /// full solves put `V`'s rows back in input order at the end.
-    /// Provably convergent (it *is* cyclic after the permutation).
-    ColumnNormPresort,
 }
 
 /// The options-/wire-layer alias for [`Ordering`].
 pub type OrderingKind = Ordering;
 
 impl Ordering {
-    /// Every ordering, in canonical (CLI/bench) order.
-    pub const ALL: [Ordering; 4] = [
-        Ordering::RoundRobin,
-        Ordering::RowCyclic,
-        Ordering::SortedGreedy,
-        Ordering::ColumnNormPresort,
-    ];
-
-    /// Canonical short name, as reported in [`crate::SolveStats::ordering`]
-    /// and accepted by [`Ordering::parse`].
+    /// Canonical short name, as reported in [`crate::SolveStats::ordering`].
     pub fn name(self) -> &'static str {
         match self {
             Ordering::RoundRobin => "cyclic",
-            Ordering::RowCyclic => "row-cyclic",
-            Ordering::SortedGreedy => "greedy",
-            Ordering::ColumnNormPresort => "presort",
         }
     }
 
-    /// Parse a CLI/wire spelling. Accepts the canonical names plus the
-    /// aliases the CLI documents (`round-robin`, `row`, `sorted-greedy`,
-    /// `column-presort`).
-    pub fn parse(s: &str) -> Option<Ordering> {
-        match s {
-            "cyclic" | "round-robin" => Some(Ordering::RoundRobin),
-            "row" | "row-cyclic" => Some(Ordering::RowCyclic),
-            "greedy" | "sorted-greedy" => Some(Ordering::SortedGreedy),
-            "presort" | "column-presort" => Some(Ordering::ColumnNormPresort),
-            _ => None,
-        }
-    }
-
-    /// `true` for orderings that replan from the Gram state each sweep and
-    /// therefore sit outside the classical cyclic convergence proof. The
-    /// recovery lattice only falls back to cyclic for these.
-    pub fn adaptive(self) -> bool {
-        matches!(self, Ordering::SortedGreedy)
-    }
-
-    /// Dense index (the wire-protocol byte); inverse of
-    /// [`Ordering::from_index`], matching the position in [`Ordering::ALL`].
+    /// Dense index: the wire protocol's ordering byte, 0.
     pub fn index(self) -> usize {
         match self {
             Ordering::RoundRobin => 0,
-            Ordering::RowCyclic => 1,
-            Ordering::SortedGreedy => 2,
-            Ordering::ColumnNormPresort => 3,
         }
-    }
-
-    /// Inverse of [`Ordering::index`]; `None` for out-of-range bytes.
-    pub fn from_index(i: usize) -> Option<Ordering> {
-        Ordering::ALL.get(i).copied()
-    }
-}
-
-/// Build one sweep of the given ordering over `n` columns, with no Gram
-/// state to adapt to.
-///
-/// For the static orderings this is the whole schedule. The adaptive
-/// [`Ordering::SortedGreedy`] (and [`Ordering::ColumnNormPresort`], whose
-/// permutation lives in the solver, not the plan) degrade to the round-robin
-/// rounds here — use an [`OrderingStrategy`] for the real per-sweep plans.
-/// For `n < 2` the sweep is empty.
-pub fn build_sweep(ordering: Ordering, n: usize) -> Sweep {
-    match ordering {
-        Ordering::RoundRobin | Ordering::SortedGreedy | Ordering::ColumnNormPresort => {
-            round_robin(n)
-        }
-        Ordering::RowCyclic => row_cyclic(n),
     }
 }
 
@@ -238,18 +165,9 @@ pub fn round_robin(n: usize) -> Sweep {
     sweep
 }
 
-/// Row-cyclic order: the literal `for i { for j in i+1.. }` of Algorithm 1.
-/// Each pair is its own round (no intra-round parallelism).
-pub fn row_cyclic(n: usize) -> Sweep {
-    let mut sweep = Sweep::new();
-    let mut spare = Vec::new();
-    fill_row_cyclic(n, &mut sweep, &mut spare);
-    sweep
-}
-
-/// The circle-method planner shared by [`round_robin`], [`Cyclic`], and
-/// [`ColumnNormPresort`]. Writes into recycled round vectors; `ring` is the
-/// caller-owned rotation scratch (`slots` entries after the call).
+/// The circle-method planner shared by [`round_robin`] and [`Cyclic`].
+/// Writes into recycled round vectors; `ring` is the caller-owned rotation
+/// scratch (`slots` entries after the call).
 fn fill_round_robin(
     n: usize,
     out: &mut Sweep,
@@ -284,24 +202,15 @@ fn fill_round_robin(
     }
 }
 
-/// Row-cyclic planner writing into recycled round vectors.
-fn fill_row_cyclic(n: usize, out: &mut Sweep, spare: &mut Vec<Vec<(usize, usize)>>) {
-    out.recycle_into(spare);
-    for i in 0..n.saturating_sub(1) {
-        for j in i + 1..n {
-            out.push_round(spare).push((i, j));
-        }
-    }
-}
-
 /// Plans each sweep's rounds of disjoint pairs.
 ///
 /// The [`crate::engine::SolveDriver`] calls [`OrderingStrategy::plan_sweep`]
 /// before every sweep with the **same** plan buffer (see [`SweepSchedule`]);
 /// a strategy may leave a still-valid plan untouched (returning `false`) or
-/// rebuild it from the current Gram state (returning `true`). Strategies own
-/// all planning scratch and recycle the plan's round vectors, so replanning
-/// is allocation-free once warm.
+/// rebuild it (returning `true`). Strategies own all planning scratch and
+/// recycle the plan's round vectors, so replanning is allocation-free once
+/// warm. The trait stays open so callers can wrap [`Cyclic`] (a timing
+/// strategy around it, say).
 ///
 /// Every produced plan must keep the pairs of each round pairwise disjoint
 /// and visit each unordered pair at most once — the invariant the paper's
@@ -324,8 +233,8 @@ pub trait OrderingStrategy {
     fn plan_sweep(&mut self, gram: &GramState, sweep_index: usize, out: &mut Sweep) -> bool;
 }
 
-/// Today's default: the round-robin cyclic order, planned once per dimension
-/// and reused for every sweep — bit-identical to the pre-subsystem schedule.
+/// The round-robin cyclic order, planned once per dimension and reused for
+/// every sweep.
 #[derive(Debug, Default)]
 pub struct Cyclic {
     planned_dim: Option<usize>,
@@ -343,151 +252,6 @@ impl Cyclic {
 impl OrderingStrategy for Cyclic {
     fn kind(&self) -> Ordering {
         Ordering::RoundRobin
-    }
-
-    fn plan_sweep(&mut self, gram: &GramState, _sweep_index: usize, out: &mut Sweep) -> bool {
-        let n = gram.dim();
-        if self.planned_dim == Some(n) {
-            return false;
-        }
-        fill_round_robin(n, out, &mut self.spare, &mut self.ring);
-        self.planned_dim = Some(n);
-        true
-    }
-}
-
-/// The row-cyclic order of Algorithm 1's literal loop nest, planned once per
-/// dimension (rounds of one pair).
-#[derive(Debug, Default)]
-pub struct RowCyclic {
-    planned_dim: Option<usize>,
-    spare: Vec<Vec<(usize, usize)>>,
-}
-
-impl RowCyclic {
-    /// A fresh strategy with empty scratch.
-    pub fn new() -> RowCyclic {
-        RowCyclic::default()
-    }
-}
-
-impl OrderingStrategy for RowCyclic {
-    fn kind(&self) -> Ordering {
-        Ordering::RowCyclic
-    }
-
-    fn plan_sweep(&mut self, gram: &GramState, _sweep_index: usize, out: &mut Sweep) -> bool {
-        let n = gram.dim();
-        if self.planned_dim == Some(n) {
-            return false;
-        }
-        fill_row_cyclic(n, out, &mut self.spare);
-        self.planned_dim = Some(n);
-        true
-    }
-}
-
-/// Largest-pivots-first adaptive order: every sweep sorts all `n(n−1)/2`
-/// pairs by the current relative covariance `D_ij²/(D_ii·D_jj)` descending
-/// (the squared cosine of the angle between columns `i` and `j` — the same
-/// normalisation the pair guards use, so the pairs that most need a rotation
-/// sort first regardless of column scale) and first-fit-matches them into
-/// disjoint rounds, so the heaviest covariances are annihilated before the
-/// round snapshot drifts. Replans every sweep; allocation-free once the
-/// scratch (pair keys, sort indices, round occupancy) is warm.
-#[derive(Debug, Default)]
-pub struct SortedGreedy {
-    pairs: Vec<(usize, usize)>,
-    keys: Vec<f64>,
-    idx: Vec<usize>,
-    /// Round-occupancy grid, `round · n + column`, grown a round at a time.
-    used: Vec<bool>,
-    spare: Vec<Vec<(usize, usize)>>,
-}
-
-impl SortedGreedy {
-    /// A fresh strategy with empty scratch.
-    pub fn new() -> SortedGreedy {
-        SortedGreedy::default()
-    }
-}
-
-impl OrderingStrategy for SortedGreedy {
-    fn kind(&self) -> Ordering {
-        Ordering::SortedGreedy
-    }
-
-    fn plan_sweep(&mut self, gram: &GramState, _sweep_index: usize, out: &mut Sweep) -> bool {
-        let n = gram.dim();
-        out.recycle_into(&mut self.spare);
-        if n < 2 {
-            return true;
-        }
-        self.pairs.clear();
-        self.keys.clear();
-        for i in 0..n {
-            for j in i + 1..n {
-                self.pairs.push((i, j));
-                let cov = gram.covariance(i, j);
-                let scale = gram.norm_sq(i) * gram.norm_sq(j);
-                self.keys.push(if scale > 0.0 { cov * cov / scale } else { 0.0 });
-            }
-        }
-        self.idx.clear();
-        self.idx.extend(0..self.pairs.len());
-        // Descending relative covariance; ties (and NaN, which total_cmp
-        // orders above every finite value) break by pair index for
-        // determinism.
-        let keys = &self.keys;
-        self.idx.sort_unstable_by(|&a, &b| keys[b].total_cmp(&keys[a]).then(a.cmp(&b)));
-        // First-fit matching: place each pair into the earliest round where
-        // neither column is taken, opening a new round when none fits.
-        self.used.clear();
-        let mut rounds = 0usize;
-        for t in 0..self.idx.len() {
-            let (i, j) = self.pairs[self.idx[t]];
-            let mut r = 0;
-            loop {
-                if r == rounds {
-                    self.used.resize((rounds + 1) * n, false);
-                    out.push_round(&mut self.spare);
-                    rounds += 1;
-                }
-                if !self.used[r * n + i] && !self.used[r * n + j] {
-                    self.used[r * n + i] = true;
-                    self.used[r * n + j] = true;
-                    out.round_mut(r).push((i, j));
-                    break;
-                }
-                r += 1;
-            }
-        }
-        true
-    }
-}
-
-/// de Rijk-style presort: the *plan* is plain round-robin cyclic — the
-/// descending-column-norm permutation is applied to the data once, at solve
-/// setup, by the solver (which folds it into `V`, so no undo pass is
-/// needed). Kept as its own strategy so stats/trace report the ordering the
-/// user asked for.
-#[derive(Debug, Default)]
-pub struct ColumnNormPresort {
-    planned_dim: Option<usize>,
-    ring: Vec<usize>,
-    spare: Vec<Vec<(usize, usize)>>,
-}
-
-impl ColumnNormPresort {
-    /// A fresh strategy with empty scratch.
-    pub fn new() -> ColumnNormPresort {
-        ColumnNormPresort::default()
-    }
-}
-
-impl OrderingStrategy for ColumnNormPresort {
-    fn kind(&self) -> Ordering {
-        Ordering::ColumnNormPresort
     }
 
     fn plan_sweep(&mut self, gram: &GramState, _sweep_index: usize, out: &mut Sweep) -> bool {
@@ -521,7 +285,7 @@ impl OrderingStrategy for Preplanned {
     }
 }
 
-/// Per-sweep rotation-threshold ramp, composable with any ordering.
+/// Per-sweep rotation-threshold ramp over the cyclic order.
 ///
 /// Sweep `s` (1-based) skips pairs whose `|D_ij| ≤ tol(s)·√(D_ii·D_jj)`
 /// with `tol(s) = max(PAIR_TOL, initial·decay^(s−1))` — coarse early sweeps
@@ -587,44 +351,10 @@ pub struct SweepSchedule<'a> {
     pub threshold: Option<ThresholdSchedule>,
 }
 
-/// One instance of every strategy plus a dedicated plan buffer per strategy,
-/// pooled inside a [`SweepWorkspace`] so repeated solves
-/// replan without reallocating. Each strategy gets its *own* plan buffer —
-/// a shared one would invalidate the once-per-dimension caches whenever the
-/// selected ordering changes between solves.
-#[derive(Debug, Default)]
-pub struct PlanBuffers {
-    cyclic: Cyclic,
-    row: RowCyclic,
-    greedy: SortedGreedy,
-    presort: ColumnNormPresort,
-    plan_cyclic: Sweep,
-    plan_row: Sweep,
-    plan_greedy: Sweep,
-    plan_presort: Sweep,
-}
-
-impl PlanBuffers {
-    /// Fresh, empty buffers (everything sized lazily on first plan).
-    pub fn new() -> PlanBuffers {
-        PlanBuffers::default()
-    }
-
-    /// Borrow the strategy and plan buffer for `kind`, ready to assemble a
-    /// [`SweepSchedule`].
-    pub fn schedule_parts(&mut self, kind: Ordering) -> (&mut dyn OrderingStrategy, &mut Sweep) {
-        match kind {
-            Ordering::RoundRobin => (&mut self.cyclic, &mut self.plan_cyclic),
-            Ordering::RowCyclic => (&mut self.row, &mut self.plan_row),
-            Ordering::SortedGreedy => (&mut self.greedy, &mut self.plan_greedy),
-            Ordering::ColumnNormPresort => (&mut self.presort, &mut self.plan_presort),
-        }
-    }
-}
-
 /// Reusable per-solve scratch, handed to a solve through
-/// [`crate::SolveRequest::with_workspace`]: the pooled [`PlanBuffers`], so a warm
-/// workspace replans every later solve — of any shape — without
+/// [`crate::SolveRequest::with_workspace`]: the [`Cyclic`] strategy and its
+/// plan buffer, so a warm workspace reuses the cached plan for every later
+/// solve of the same dimension and replans other shapes without
 /// reallocating. The sweeps themselves rotate in place and need no scratch.
 /// Results are bit-identical with a fresh or a reused workspace.
 ///
@@ -633,7 +363,7 @@ impl PlanBuffers {
 /// use hj_matrix::gen;
 ///
 /// let solver = HestenesSvd::new(SvdOptions::default());
-/// let mut ws = SweepWorkspace::new(); // plan buffers sized by the first solve
+/// let mut ws = SweepWorkspace::new(); // plan buffer sized by the first solve
 /// let a = gen::uniform(30, 12, 17);
 /// let warm = solver.singular_values_with_workspace(&a, &mut ws).unwrap();
 /// let again = solver.singular_values_with_workspace(&a, &mut ws).unwrap();
@@ -641,9 +371,8 @@ impl PlanBuffers {
 /// ```
 #[derive(Debug, Default)]
 pub struct SweepWorkspace {
-    /// The pooled strategies and plan buffers (`None` while a solve has
-    /// them checked out).
-    plan: Option<Box<PlanBuffers>>,
+    cyclic: Cyclic,
+    plan: Sweep,
 }
 
 impl SweepWorkspace {
@@ -652,28 +381,11 @@ impl SweepWorkspace {
         SweepWorkspace::default()
     }
 
-    /// Check out the pooled ordering scratch (fresh buffers the first time;
-    /// the warmed pool on every later solve). Pair with
-    /// [`SweepWorkspace::put_plan_buffers`].
-    pub(crate) fn take_plan_buffers(&mut self) -> Box<PlanBuffers> {
-        self.plan.take().unwrap_or_default()
+    /// The cyclic schedule over this workspace's strategy and plan buffer,
+    /// with the given threshold ramp.
+    pub(crate) fn schedule(&mut self, threshold: Option<ThresholdSchedule>) -> SweepSchedule<'_> {
+        SweepSchedule { strategy: &mut self.cyclic, plan: &mut self.plan, threshold }
     }
-
-    /// Return checked-out ordering scratch to the pool for the next solve.
-    pub(crate) fn put_plan_buffers(&mut self, buffers: Box<PlanBuffers>) {
-        self.plan = Some(buffers);
-    }
-}
-
-/// Compute the descending-column-norm permutation for
-/// [`Ordering::ColumnNormPresort`]: `perm[k]` is the source column holding
-/// the `k`-th largest `D_ii` (ties break by column index, so the
-/// permutation — and therefore the whole solve — is deterministic).
-pub fn column_norm_permutation(gram: &GramState, perm: &mut Vec<usize>) {
-    let n = gram.dim();
-    perm.clear();
-    perm.extend(0..n);
-    perm.sort_by(|&a, &b| gram.norm_sq(b).total_cmp(&gram.norm_sq(a)).then(a.cmp(&b)));
 }
 
 #[cfg(test)]
@@ -738,14 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn row_cyclic_matches_algorithm_one_order() {
-        let s = row_cyclic(4);
-        let pairs: Vec<_> = s.pairs().collect();
-        assert_eq!(pairs, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        assert_full_coverage(&s, 4);
-    }
-
-    #[test]
     fn grouped_respects_group_size() {
         let s = round_robin(32);
         // The paper's configuration: groups of 8 pairs enter the architecture.
@@ -778,35 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn build_sweep_dispatches() {
-        assert_eq!(build_sweep(Ordering::RoundRobin, 6), round_robin(6));
-        assert_eq!(build_sweep(Ordering::RowCyclic, 6), row_cyclic(6));
-        // With no Gram state the adaptive/presort plans degrade to cyclic.
-        assert_eq!(build_sweep(Ordering::SortedGreedy, 6), round_robin(6));
-        assert_eq!(build_sweep(Ordering::ColumnNormPresort, 6), round_robin(6));
-    }
-
-    #[test]
-    fn names_and_parse_round_trip() {
-        for kind in Ordering::ALL {
-            assert_eq!(Ordering::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(Ordering::parse("round-robin"), Some(Ordering::RoundRobin));
-        assert_eq!(Ordering::parse("row"), Some(Ordering::RowCyclic));
-        assert_eq!(Ordering::parse("sorted-greedy"), Some(Ordering::SortedGreedy));
-        assert_eq!(Ordering::parse("column-presort"), Some(Ordering::ColumnNormPresort));
-        assert_eq!(Ordering::parse("warp"), None);
-        assert!(Ordering::SortedGreedy.adaptive());
-        assert!(!Ordering::RoundRobin.adaptive());
-        assert!(!Ordering::ColumnNormPresort.adaptive());
-        for (i, kind) in Ordering::ALL.iter().enumerate() {
-            assert_eq!(kind.index(), i);
-            assert_eq!(Ordering::from_index(i), Some(*kind));
-        }
-        assert_eq!(Ordering::from_index(Ordering::ALL.len()), None);
-    }
-
-    #[test]
     fn cyclic_strategy_is_bit_identical_to_round_robin() {
         for n in [2usize, 7, 8, 24] {
             let gram = gram_for(n, 5);
@@ -830,80 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_covers_all_pairs_in_disjoint_rounds() {
-        for (n, seed) in [(2usize, 1u64), (5, 2), (8, 3), (17, 4), (24, 5)] {
-            let gram = gram_for(n, seed);
-            let mut strat = SortedGreedy::new();
-            let mut plan = Sweep::new();
-            assert!(strat.plan_sweep(&gram, 1, &mut plan), "greedy replans every sweep");
-            assert_full_coverage(&plan, n);
-            assert_rounds_disjoint(&plan);
-            assert!(strat.plan_sweep(&gram, 2, &mut plan));
-            assert_full_coverage(&plan, n);
-        }
-    }
-
-    #[test]
-    fn greedy_puts_the_largest_covariance_first() {
-        let gram = gram_for(9, 77);
-        let mut best = (0, 1);
-        let mut best_key = -1.0;
-        for i in 0..9 {
-            for j in i + 1..9 {
-                let cov = gram.covariance(i, j);
-                let key = cov * cov / (gram.norm_sq(i) * gram.norm_sq(j));
-                if key > best_key {
-                    best_key = key;
-                    best = (i, j);
-                }
-            }
-        }
-        let mut strat = SortedGreedy::new();
-        let mut plan = Sweep::new();
-        strat.plan_sweep(&gram, 1, &mut plan);
-        assert_eq!(plan.rounds()[0][0], best, "heaviest pair must open round 0");
-    }
-
-    #[test]
-    fn greedy_is_deterministic() {
-        let gram = gram_for(12, 9);
-        let plan_of = |_: ()| {
-            let mut strat = SortedGreedy::new();
-            let mut plan = Sweep::new();
-            strat.plan_sweep(&gram, 1, &mut plan);
-            plan
-        };
-        assert_eq!(plan_of(()), plan_of(()));
-    }
-
-    #[test]
-    fn presort_strategy_plans_cyclic_rounds() {
-        let gram = gram_for(10, 3);
-        let mut strat = ColumnNormPresort::new();
-        let mut plan = Sweep::new();
-        assert!(strat.plan_sweep(&gram, 1, &mut plan));
-        assert_eq!(plan, round_robin(10));
-        assert_eq!(strat.name(), "presort");
-    }
-
-    #[test]
-    fn column_norm_permutation_sorts_descending() {
-        let gram = gram_for(11, 13);
-        let mut perm = Vec::new();
-        column_norm_permutation(&gram, &mut perm);
-        assert_eq!(perm.len(), 11);
-        let mut seen: Vec<usize> = perm.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..11).collect::<Vec<_>>(), "must be a permutation");
-        for w in perm.windows(2) {
-            assert!(
-                gram.norm_sq(w[0]) >= gram.norm_sq(w[1]),
-                "norms must descend along the permutation"
-            );
-        }
-    }
-
-    #[test]
     fn threshold_schedule_ramps_down_to_pair_tol() {
         let th = ThresholdSchedule::default();
         assert!(th.tol(1) > th.tol(2));
@@ -920,19 +521,26 @@ mod tests {
     }
 
     #[test]
-    fn plan_buffers_hand_out_matching_parts() {
+    fn cyclic_is_the_one_ordering_at_wire_index_zero() {
+        assert_eq!(Ordering::default(), Ordering::RoundRobin);
+        assert_eq!(Ordering::RoundRobin.name(), "cyclic");
+        assert_eq!(Ordering::RoundRobin.index(), 0);
+        assert_eq!(Cyclic::new().name(), "cyclic");
+    }
+
+    #[test]
+    fn workspace_schedule_plans_cyclic_once_per_dimension() {
         let gram = gram_for(8, 21);
-        let mut bufs = PlanBuffers::new();
-        for kind in Ordering::ALL {
-            let (strategy, plan) = bufs.schedule_parts(kind);
-            assert_eq!(strategy.kind(), kind);
-            strategy.plan_sweep(&gram, 1, plan);
-            assert_full_coverage(plan, 8);
-            assert_rounds_disjoint(plan);
-        }
-        // A second checkout of the same kind sees the cached plan.
-        let (strategy, plan) = bufs.schedule_parts(Ordering::RoundRobin);
-        assert!(!strategy.plan_sweep(&gram, 2, plan));
+        let mut ws = SweepWorkspace::new();
+        let schedule = ws.schedule(None);
+        assert_eq!(schedule.strategy.kind(), Ordering::RoundRobin);
+        assert!(schedule.strategy.plan_sweep(&gram, 1, schedule.plan));
+        assert_full_coverage(schedule.plan, 8);
+        assert_rounds_disjoint(schedule.plan);
+        // A second checkout sees the cached plan.
+        let schedule = ws.schedule(None);
+        assert!(!schedule.strategy.plan_sweep(&gram, 2, schedule.plan));
+        assert_eq!(*schedule.plan, round_robin(8));
     }
 
     #[test]
@@ -944,20 +552,5 @@ mod tests {
         assert!(!strat.plan_sweep(&gram, 1, &mut plan));
         assert_eq!(plan, before);
         assert_eq!(strat.name(), "");
-    }
-
-    #[test]
-    fn replanning_recycles_round_vectors() {
-        // After warm-up, greedy replanning must not grow the total capacity
-        // footprint: recycled vectors are reused, not reallocated. We proxy
-        // this by checking the spare pool absorbs and re-issues rounds.
-        let gram = gram_for(16, 8);
-        let mut strat = SortedGreedy::new();
-        let mut plan = Sweep::new();
-        strat.plan_sweep(&gram, 1, &mut plan);
-        let rounds_before = plan.round_count();
-        strat.plan_sweep(&gram, 2, &mut plan);
-        // Same gram → same plan shape, rebuilt in place.
-        assert_eq!(plan.round_count(), rounds_before);
     }
 }

@@ -16,9 +16,9 @@ pub struct SolveStats {
     /// Canonical name of the engine that ran the solve (`"sequential"` or
     /// `"batch-soa"`); empty for a default-constructed record.
     pub engine: &'static str,
-    /// Canonical name of the pair ordering the solve was scheduled with
-    /// (`"cyclic"`, `"row-cyclic"`, `"greedy"`, or `"presort"`); empty for a
-    /// default-constructed record or a fixed caller-built plan.
+    /// Canonical name of the pair ordering the solve was scheduled with:
+    /// `"cyclic"` (the only one), or empty for a default-constructed record
+    /// or a fixed caller-built plan ([`crate::ordering::Preplanned`]).
     pub ordering: &'static str,
     /// Sweeps executed.
     pub sweeps: usize,
@@ -61,8 +61,7 @@ pub struct SolveStats {
     /// Mid-solve faults detected by the health check or solve budget
     /// (0 for a clean solve; counts faults in recovered attempts too).
     pub faults: usize,
-    /// Recovery actions taken (rescale-restart, ordering fallback, budget
-    /// escalation). 0 means the returned factorization came from the first
+    /// Recovery actions taken (rescale-restart, budget escalation). 0 means the returned factorization came from the first
     /// attempt.
     pub recoveries: usize,
     /// Binary exponent of the guarded-numerics pre-scaling applied to the
@@ -74,9 +73,10 @@ pub struct SolveStats {
     /// ramp (sweeps whose threshold was still above the [`crate::sweep::PAIR_TOL`]
     /// floor). 0 when no threshold schedule was attached.
     pub pairs_skipped_by_threshold: usize,
-    /// Times the ordering strategy rebuilt the sweep plan (1 for the static
-    /// cyclic family, one per sweep for adaptive orderings, 0 for a fixed
-    /// caller-built plan) — the replan-cost counter.
+    /// Times the ordering strategy rebuilt the sweep plan: 1 for a cyclic
+    /// solve on a fresh workspace (or one last used at another dimension),
+    /// 0 on a workspace warm at this dimension or for a fixed caller-built
+    /// plan — the replan-cost counter.
     pub replans: usize,
 }
 
@@ -216,9 +216,6 @@ impl SolveStats {
                 "ordering" => {
                     st.ordering = match parse_string(value)?.as_str() {
                         "cyclic" => "cyclic",
-                        "row-cyclic" => "row-cyclic",
-                        "greedy" => "greedy",
-                        "presort" => "presort",
                         "" => "",
                         _ => return None,
                     };

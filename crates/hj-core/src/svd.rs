@@ -1,15 +1,15 @@
 //! The user-facing SVD drivers.
 //!
 //! [`HestenesSvd`] runs the modified Hestenes-Jacobi algorithm end to end:
-//! Gram initialization (the preprocessor's job), iterated sweeps with the
-//! chosen ordering and convergence rule, and the final square-root /
-//! sort / normalization stage that turns the orthogonalized system into
-//! `A = U Σ Vᵀ`.
+//! Gram initialization (the preprocessor's job), iterated sweeps in the
+//! cyclic order under the chosen convergence rule, and the final
+//! square-root / sort / normalization stage that turns the orthogonalized
+//! system into `A = U Σ Vᵀ`.
 
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
-use crate::ordering::{Ordering, SweepSchedule, SweepWorkspace, ThresholdSchedule};
+use crate::ordering::{SweepWorkspace, ThresholdSchedule};
 use crate::recovery::{HealthCheck, RecoveryAction, RecoveryContext, RecoveryPolicy, SolveBudget};
 use crate::stats::SolveStats;
 use crate::trace::{emit_to, TraceEvent, TraceLevel, TraceSink};
@@ -112,12 +112,12 @@ pub(crate) fn unscale_values(values: &mut [f64], k: i32) {
 /// syntax:
 ///
 /// ```
-/// use hj_core::{HestenesSvd, Ordering, SvdOptions};
+/// use hj_core::{HestenesSvd, SvdOptions, ThresholdSchedule};
 /// use hj_matrix::gen;
 ///
-/// let options = SvdOptions { ordering: Ordering::SortedGreedy, ..Default::default() };
+/// let options = SvdOptions { threshold: Some(ThresholdSchedule::default()), ..Default::default() };
 /// let svd = HestenesSvd::new(options).decompose(&gen::uniform(30, 8, 1)).unwrap();
-/// assert_eq!(svd.stats.ordering, "greedy");
+/// assert_eq!(svd.stats.ordering, "cyclic");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvdOptions {
@@ -126,13 +126,9 @@ pub struct SvdOptions {
     /// Hard upper bound on sweeps regardless of the stopping rule.
     /// Default: [`MAX_SWEEP_CAP`].
     pub max_sweeps: usize,
-    /// Pair visiting order (see [`crate::ordering`] for the strategy
-    /// catalogue). Default: round-robin (the paper's cyclic order,
-    /// bit-identical to the pre-subsystem schedule).
-    pub ordering: Ordering,
-    /// Optional per-sweep rotation-threshold ramp, composable with any
-    /// ordering. `None` (the default) keeps the standard fixed pair guard —
-    /// and the bit-identical default solve path.
+    /// Optional per-sweep rotation-threshold ramp over the cyclic order.
+    /// `None` (the default) keeps the standard fixed pair guard — and the
+    /// bit-identical default solve path.
     pub threshold: Option<ThresholdSchedule>,
 }
 
@@ -141,7 +137,6 @@ impl Default for SvdOptions {
         SvdOptions {
             convergence: Convergence::default(),
             max_sweeps: MAX_SWEEP_CAP,
-            ordering: Ordering::RoundRobin,
             threshold: None,
         }
     }
@@ -150,12 +145,7 @@ impl Default for SvdOptions {
 impl SvdOptions {
     /// The paper's operating point: exactly 6 sweeps, cyclic order.
     pub fn paper() -> Self {
-        SvdOptions {
-            convergence: Convergence::FixedSweeps(6),
-            max_sweeps: 6,
-            ordering: Ordering::RoundRobin,
-            threshold: None,
-        }
+        SvdOptions { convergence: Convergence::FixedSweeps(6), max_sweeps: 6, threshold: None }
     }
 }
 
@@ -186,7 +176,7 @@ impl SvdOptions {
 pub struct SolveRequest<'a> {
     /// Scratch to plan in; `None` plans in a fresh [`SweepWorkspace`].
     /// Reusing a warm one (e.g. from a [`crate::batch::WorkspacePool`])
-    /// replans without reallocating the ordering scratch.
+    /// reuses its cyclic plan instead of rebuilding it.
     workspace: Option<&'a mut SweepWorkspace>,
     /// Sink receiving the solve's events up to the paired level, including
     /// the recovery decisions between attempts; `None` (or
@@ -413,8 +403,8 @@ impl HestenesSvd {
     /// Run the guarded solve loop: pre-scale out-of-window inputs, run the
     /// monitored driver on the [`Sequential`] engine, and — when the monitor
     /// detects a [`crate::recovery::Fault`] — apply the recovery policy
-    /// (rescale-and-restart / ordering fallback / budget escalation) until
-    /// the solve succeeds or the policy aborts.
+    /// (rescale-and-restart / budget escalation) until the solve succeeds
+    /// or the policy aborts.
     ///
     /// Every restart rebuilds `D` (and `B`, `V` in full mode) from the
     /// pristine input `a`, so no corrupted intermediate state survives a
@@ -445,19 +435,13 @@ impl HestenesSvd {
             monitor.injector = req.injector;
         }
         let mut exp = prescale_exponent(max_abs);
-        let mut ordering = self.options.ordering;
         let mut max_sweeps = self.options.max_sweeps.min(MAX_SWEEP_CAP);
         let mut rescaled = exp != 0;
         let mut escalated = false;
-        let mut ordering_fell_back = false;
         let mut recoveries = 0usize;
         let mut total_faults = 0usize;
         let mut cumulative_sweeps = 0usize;
-        // Strategy + plan scratch pooled in the workspace: repeated solves
-        // over a warm workspace replan without reallocating.
-        let mut plan_buffers = ws.take_plan_buffers();
         loop {
-            let presort = ordering == Ordering::ColumnNormPresort;
             // Build this attempt's working state from the pristine input,
             // timing the Gram build (the preprocessor) alone.
             let mut gram_build_seconds = 0.0;
@@ -467,32 +451,18 @@ impl HestenesSvd {
                 gram_build_seconds = t0.elapsed().as_secs_f64();
                 gram
             };
-            let (mut gram, mut b, mut v, perm) = if full {
+            let (mut gram, mut b, mut v) = if full {
                 let mut b = a.clone();
                 apply_exp2(&mut b, exp);
-                // de Rijk presort: the run starts from B = A·P (the columns
-                // in descending-norm order) and V = I, as a full target
-                // requires; V's rows are permuted back once it converges.
-                let perm = presort.then(|| presort_permutation(&b));
-                if let Some(perm) = &perm {
-                    b = permuted_columns(&b, perm);
-                }
-                (build(&b), Some(b), Some(Matrix::identity(n)), perm)
-            } else if presort {
-                // Values-only: the spectrum is permutation-invariant, so the
-                // presorted Gram needs no bookkeeping at all.
-                let mut scaled = a.clone();
-                apply_exp2(&mut scaled, exp);
-                let perm = presort_permutation(&scaled);
-                (build(&permuted_columns(&scaled, &perm)), None, None, None)
+                (build(&b), Some(b), Some(Matrix::identity(n)))
             } else if exp == 0 {
                 // Values-only fast path: D is built straight off the caller's
                 // matrix, no clone.
-                (build(a), None, None, None)
+                (build(a), None, None)
             } else {
                 let mut scaled = a.clone();
                 apply_exp2(&mut scaled, exp);
-                (build(&scaled), None, None, None)
+                (build(&scaled), None, None)
             };
             let driver = SolveDriver { convergence: self.options.convergence, max_sweeps };
             let target = match (b.as_mut(), v.as_mut()) {
@@ -500,8 +470,9 @@ impl HestenesSvd {
                 _ => RotationTarget::gram_only(),
             };
             let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
-            let (strategy, plan) = plan_buffers.schedule_parts(ordering);
-            let mut schedule = SweepSchedule { strategy, plan, threshold: self.options.threshold };
+            // The cyclic plan is cached in the workspace: repeated solves
+            // over a warm workspace reuse it.
+            let mut schedule = ws.schedule(self.options.threshold);
             let run =
                 driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
             cumulative_sweeps += run.stats.sweeps;
@@ -512,11 +483,6 @@ impl HestenesSvd {
                 stats.recoveries = recoveries;
                 stats.prescale_exp = exp;
                 stats.gram_build_seconds = gram_build_seconds;
-                ws.put_plan_buffers(plan_buffers);
-                // A·P·V = A·(P·V): row t of V is row perm[t] of the factor.
-                if let (Some(perm), Some(v)) = (&perm, v.as_mut()) {
-                    *v = unpermuted_rows(v, perm);
-                }
                 return Ok(GuardedSolve {
                     gram,
                     b,
@@ -530,8 +496,6 @@ impl HestenesSvd {
                 rescaled,
                 escalated,
                 can_escalate: max_sweeps < MAX_SWEEP_CAP,
-                adaptive_ordering: ordering.adaptive(),
-                ordering_fell_back,
                 recoveries,
             };
             let action = self.policy.action_for(&fault, &ctx);
@@ -547,7 +511,6 @@ impl HestenesSvd {
             );
             match action {
                 RecoveryAction::Abort => {
-                    ws.put_plan_buffers(plan_buffers);
                     return Err(SvdError::SolveFault {
                         fault,
                         sweeps_completed: cumulative_sweeps,
@@ -561,10 +524,6 @@ impl HestenesSvd {
                 RecoveryAction::EscalateBudget => {
                     max_sweeps = (max_sweeps * 2).min(MAX_SWEEP_CAP);
                     escalated = true;
-                }
-                RecoveryAction::FallBackToCyclic => {
-                    ordering = Ordering::RoundRobin;
-                    ordering_fell_back = true;
                 }
             }
             recoveries += 1;
@@ -691,41 +650,6 @@ fn gather_columns(order: &mut [usize], u: &mut Matrix, v: &mut Matrix) {
             t = src;
         }
     }
-}
-
-/// Descending-column-norm permutation for the de Rijk presort: `perm[t]` is
-/// the source column holding the `t`-th largest norm (ties break by column
-/// index, keeping the permutation — and the whole solve — deterministic;
-/// same comparator as [`crate::ordering::column_norm_permutation`]).
-fn presort_permutation(b: &Matrix) -> Vec<usize> {
-    let n = b.cols();
-    let norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]).then(x.cmp(&y)));
-    perm
-}
-
-/// A copy of `b` with column `t` taken from source column `perm[t]`.
-fn permuted_columns(b: &Matrix, perm: &[usize]) -> Matrix {
-    let (m, n) = b.shape();
-    let mut out = Matrix::zeros(m, n);
-    for (t, &c) in perm.iter().enumerate() {
-        out.col_mut(t).copy_from_slice(b.col(c));
-    }
-    out
-}
-
-/// The presort's `V` back in the input's column order: row `t` of `v`
-/// becomes row `perm[t]`.
-fn unpermuted_rows(v: &Matrix, perm: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(v.rows(), v.cols());
-    for c in 0..v.cols() {
-        let (src, dst) = (v.col(c), out.col_mut(c));
-        for (&x, &r) in src.iter().zip(perm) {
-            dst[r] = x;
-        }
-    }
-    out
 }
 
 /// A finished guarded solve, before factor extraction: the converged `D`,
@@ -1068,69 +992,32 @@ mod tests {
     #[test]
     fn invalid_option_combinations_error() {
         let a = gen::uniform(4, 4, 0);
-        for ordering in Ordering::ALL {
-            let opts = SvdOptions { ordering, ..Default::default() };
-            assert!(HestenesSvd::new(opts).decompose(&a).is_ok(), "{ordering:?}");
+        let ramp =
+            SvdOptions { threshold: Some(ThresholdSchedule::default()), ..Default::default() };
+        for opts in [SvdOptions::default(), SvdOptions::paper(), ramp] {
+            assert!(HestenesSvd::new(opts).decompose(&a).is_ok(), "{opts:?}");
         }
         let opts = SvdOptions { max_sweeps: 0, ..Default::default() };
         assert!(matches!(HestenesSvd::new(opts).decompose(&a), Err(SvdError::ZeroSweepBudget)));
     }
 
     #[test]
-    fn every_ordering_converges() {
-        let a = gen::uniform(40, 12, 19);
-        let reference = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-        for ordering in Ordering::ALL {
-            let opts = SvdOptions { ordering, ..Default::default() };
-            let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
-            check_svd(&a, &svd, 1e-11);
-            assert_eq!(svd.stats.ordering, ordering.name(), "{ordering:?}");
-            assert!(svd.stats.replans >= 1, "scheduled solves must plan at least once");
-            for (x, y) in svd.singular_values.iter().zip(&reference.singular_values) {
-                assert!((x - y).abs() < 1e-10 * y.max(1.0), "{ordering:?}: σ {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn cyclic_ordering_is_bit_identical_to_the_default_path() {
-        // The Cyclic strategy must reproduce the pre-subsystem round-robin
-        // schedule exactly, so the default options' results are pinned bitwise
-        // across the refactor (same rotations in the same order).
+    fn default_solve_plans_the_cyclic_order_once_per_dimension() {
         let a = gen::uniform(36, 11, 23);
-        let opts = SvdOptions { ordering: Ordering::RoundRobin, ..Default::default() };
-        let one = HestenesSvd::new(opts).decompose(&a).unwrap();
-        let two = HestenesSvd::new(opts).decompose(&a).unwrap();
-        assert_eq!(one.singular_values, two.singular_values);
-        assert_eq!(one.u.as_slice(), two.u.as_slice());
-        assert_eq!(one.v.as_slice(), two.v.as_slice());
-        assert_eq!(one.stats.ordering, "cyclic");
-    }
-
-    #[test]
-    fn presort_folds_the_permutation_into_the_factors() {
-        // Columns generated in descending-norm order make the presort
-        // permutation the identity: the presorted solve must then be
-        // bit-identical to the cyclic solve (same data, same plan). A
-        // shuffled copy of the same matrix must still reconstruct exactly.
-        let sigma = [9.0, 5.0, 3.0, 1.5, 0.75, 0.2];
-        let a = gen::with_singular_values(24, 6, &sigma, 55);
-        let cyclic = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-        let presorted = HestenesSvd::new(SvdOptions {
-            ordering: Ordering::ColumnNormPresort,
-            ..Default::default()
-        })
-        .decompose(&a)
-        .unwrap();
-        check_svd(&a, &presorted, 1e-12);
-        assert_eq!(presorted.stats.ordering, "presort");
-        for (x, y) in presorted.singular_values.iter().zip(&cyclic.singular_values) {
-            assert!((x - y).abs() < 1e-12 * y.max(1.0), "{x} vs {y}");
-        }
-        // U/V round-trip: the permutation is folded into V, so U·Σ·Vᵀ
-        // reconstructs A without any undo pass, and V stays orthonormal.
-        assert!(norms::orthonormality_error(&presorted.u) < 1e-12);
-        assert!(norms::orthonormality_error(&presorted.v) < 1e-12);
+        let solver = HestenesSvd::new(SvdOptions::default());
+        let cold = solver.decompose(&a).unwrap();
+        assert_eq!(cold.stats.ordering, "cyclic");
+        assert_eq!(cold.stats.replans, 1, "a fresh workspace plans once");
+        let mut ws = SweepWorkspace::new();
+        let mut solve = |a: &Matrix| {
+            solver.decompose_with(a, SolveRequest::default().with_workspace(&mut ws)).unwrap()
+        };
+        assert_eq!(solve(&a).stats.replans, 1);
+        let warm = solve(&a);
+        assert_eq!(warm.stats.replans, 0, "a warm workspace reuses its plan");
+        assert_eq!(warm.singular_values, cold.singular_values);
+        assert_eq!(warm.v.as_slice(), cold.v.as_slice());
+        assert_eq!(solve(&gen::uniform(20, 7, 1)).stats.replans, 1, "a new dimension replans");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The sequential single-sweep entry point and the per-sweep record.
 //!
-//! A *sweep* visits every column pair once in the chosen ordering.
+//! A *sweep* visits every column pair once in the order of its plan.
 //! [`sweep_gram_only`] runs one sweep over the maintained covariance matrix
 //! `D` (`O(n)` per pair) — what the paper's hardware does from the second
 //! sweep onward, and all a sweep ever needs: the rotation parameters come
@@ -59,14 +59,14 @@ mod tests {
     use super::*;
     use crate::convergence::Convergence;
     use crate::engine::SolveDriver;
-    use crate::ordering::{build_sweep, Ordering};
+    use crate::ordering::{round_robin, Sweep};
     use hj_matrix::{gen, norms, Matrix};
 
     #[test]
     fn gram_only_sweep_reduces_off_mass() {
         let a = gen::uniform(30, 8, 11);
         let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RoundRobin, 8);
+        let order = round_robin(8);
         let before = g.off_frobenius();
         let rec = sweep_gram_only(&mut g, &order, 1);
         assert!(rec.off_frobenius < before);
@@ -78,7 +78,7 @@ mod tests {
     fn repeated_sweeps_converge_to_diagonal() {
         let a = gen::uniform(20, 6, 3);
         let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RoundRobin, 6);
+        let order = round_robin(6);
         (1..=10).for_each(|s| {
             sweep_gram_only(&mut g, &order, s);
         });
@@ -94,7 +94,10 @@ mod tests {
     fn row_cyclic_also_converges() {
         let a = gen::uniform(15, 5, 9);
         let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RowCyclic, 5);
+        // Algorithm 1's literal loop nest, one pair per round, as a
+        // caller-built plan.
+        let rows = (0..5).flat_map(|i| (i + 1..5).map(move |j| vec![(i, j)])).collect();
+        let order = Sweep::from_rounds(rows);
         (1..=10).for_each(|s| {
             sweep_gram_only(&mut g, &order, s);
         });
@@ -105,7 +108,7 @@ mod tests {
         let mut b = a0.clone();
         let mut g = GramState::from_matrix(&b);
         let mut v = Matrix::identity(a0.cols());
-        let order = build_sweep(Ordering::RoundRobin, a0.cols());
+        let order = round_robin(a0.cols());
         let mut state = SweepState {
             gram: &mut g,
             target: RotationTarget::full(&mut b, &mut v),
@@ -148,7 +151,7 @@ mod tests {
     fn sweep_on_orthogonal_input_applies_nothing() {
         let q = gen::random_orthonormal(16, 6, 2);
         let mut g = GramState::from_matrix(&q);
-        let order = build_sweep(Ordering::RoundRobin, 6);
+        let order = round_robin(6);
         let rec = sweep_gram_only(&mut g, &order, 1);
         assert_eq!(rec.rotations_applied, 0);
         assert_eq!(rec.rotations_skipped, 15);

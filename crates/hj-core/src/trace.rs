@@ -7,8 +7,9 @@
 //! a caller-supplied [`TraceSink`]. The event vocabulary mirrors the stages
 //! of the paper's pipeline (Figs. 2, 4, 5): a `SweepStart` is the
 //! preprocessor handing control to the rotation/update loop, a
-//! `SweepPlanned` is the sweep's Fig. 6 schedule of disjoint-pair rounds,
-//! and `RotationApplied`/`RotationSkipped` are the per-pair decisions the
+//! `SweepPlanned` is the sweep's Fig. 6 round-robin schedule of
+//! disjoint-pair rounds (`replanned` only when the cyclic plan was built
+//! for a new dimension), and `RotationApplied`/`RotationSkipped` are the per-pair decisions the
 //! hardware's orthogonality guard makes. The cycle-accurate simulator emits
 //! the same stream shape through [`TraceEvent::PipelineStage`], so software
 //! and hardware traces can be lined up event for event.
@@ -126,15 +127,15 @@ pub enum TraceEvent {
     SweepPlanned {
         /// 1-based sweep index.
         sweep: usize,
-        /// Canonical ordering name (`"cyclic"`, `"row-cyclic"`, `"greedy"`,
-        /// `"presort"`).
+        /// Canonical ordering name: `"cyclic"`, or empty for a fixed
+        /// caller-built plan ([`crate::ordering::Preplanned`]).
         ordering: &'static str,
         /// Rounds in the plan.
         rounds: usize,
         /// Total pairs across all rounds.
         pairs: usize,
         /// Whether the strategy rebuilt the plan for this sweep (false when
-        /// a static ordering reused the cached plan).
+        /// the cyclic strategy reused its cached plan).
         replanned: bool,
     },
     /// A sweep finished; carries its rotation counts and timing.
@@ -774,7 +775,7 @@ mod tests {
             TraceEvent::SweepStart { sweep: 1, engine: "sequential" },
             TraceEvent::SweepPlanned {
                 sweep: 1,
-                ordering: "greedy",
+                ordering: "cyclic",
                 rounds: 7,
                 pairs: 28,
                 replanned: true,

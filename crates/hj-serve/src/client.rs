@@ -2,18 +2,17 @@
 //! saturation benchmark are built on.
 
 use crate::job::Priority;
-use crate::protocol::{BatchItem, Frame, ProtoError, ENGINE_SEQUENTIAL, NO_DEADLINE};
-use hj_core::OrderingKind;
+use crate::protocol::{
+    BatchItem, Frame, ProtoError, ENGINE_SEQUENTIAL, NO_DEADLINE, ORDERING_CYCLIC,
+};
 use hj_matrix::Matrix;
 use std::io::BufWriter;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Per-submission options (ordering, class, deadline, tenant).
+/// Per-submission options (class, deadline, tenant).
 #[derive(Debug, Clone)]
 pub struct SubmitOptions {
-    /// Pair-ordering strategy for the sweeps.
-    pub ordering: OrderingKind,
     /// Priority class.
     pub priority: Priority,
     /// Relative deadline in milliseconds (None = no deadline).
@@ -24,12 +23,7 @@ pub struct SubmitOptions {
 
 impl Default for SubmitOptions {
     fn default() -> Self {
-        SubmitOptions {
-            ordering: OrderingKind::default(),
-            priority: Priority::Interactive,
-            deadline_ms: None,
-            tenant: String::new(),
-        }
+        SubmitOptions { priority: Priority::Interactive, deadline_ms: None, tenant: String::new() }
     }
 }
 
@@ -158,7 +152,7 @@ impl Client {
         let frame = Frame::Submit {
             priority: options.priority.index() as u8,
             engine: ENGINE_SEQUENTIAL,
-            ordering: options.ordering.index() as u8,
+            ordering: ORDERING_CYCLIC,
             deadline_ms: options.deadline_ms.unwrap_or(NO_DEADLINE),
             tenant: options.tenant,
             matrix: matrix.clone(),
@@ -186,7 +180,7 @@ impl Client {
         let frame = Frame::SubmitBatch {
             priority: options.priority.index() as u8,
             engine: ENGINE_SEQUENTIAL,
-            ordering: options.ordering.index() as u8,
+            ordering: ORDERING_CYCLIC,
             deadline_ms: options.deadline_ms.unwrap_or(NO_DEADLINE),
             tenant: options.tenant,
             matrices: matrices.to_vec(),

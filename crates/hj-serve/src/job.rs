@@ -7,8 +7,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hj_core::OrderingKind;
-
 /// Priority class of a job. Dispatch is strict-priority between classes and
 /// earliest-deadline-first within a class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,14 +86,11 @@ impl JobPayload {
 /// One solve request, as admitted into the service queue.
 ///
 /// The builder methods cover the optional fields; a bare
-/// [`JobSpec::new`] is an interactive, deadline-free, anonymous-tenant job
-/// on the default cyclic ordering.
+/// [`JobSpec::new`] is an interactive, deadline-free, anonymous-tenant job.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// What to solve: one matrix or a bulk batch.
     pub payload: JobPayload,
-    /// Which pair-ordering strategy plans the sweeps.
-    pub ordering: OrderingKind,
     /// Priority class for dispatch ordering.
     pub priority: Priority,
     /// Optional absolute wall-clock deadline; translated into the solve's
@@ -121,19 +116,7 @@ impl JobSpec {
     }
 
     fn with_payload(payload: JobPayload) -> JobSpec {
-        JobSpec {
-            payload,
-            ordering: OrderingKind::default(),
-            priority: Priority::Interactive,
-            deadline: None,
-            tenant: String::new(),
-        }
-    }
-
-    /// Select the pair-ordering strategy.
-    pub fn ordering(mut self, ordering: OrderingKind) -> JobSpec {
-        self.ordering = ordering;
-        self
+        JobSpec { payload, priority: Priority::Interactive, deadline: None, tenant: String::new() }
     }
 
     /// Select the priority class.
@@ -218,8 +201,7 @@ impl std::error::Error for RejectReason {}
 #[derive(Debug)]
 pub enum JobResult {
     /// Outcome of a [`JobPayload::Single`] job — bit-identical to a direct
-    /// [`hj_core::HestenesSvd::singular_values`] call on the same matrix
-    /// and ordering.
+    /// [`hj_core::HestenesSvd::singular_values`] call on the same matrix.
     Single(Result<SingularValues, SvdError>),
     /// Per-problem outcomes of a [`JobPayload::Bulk`] job, in slot order.
     /// A failed slot (bad input, mid-solve fault) never disturbs its
@@ -373,11 +355,9 @@ mod tests {
     #[test]
     fn spec_builder_sets_every_field() {
         let spec = JobSpec::new(Matrix::zeros(2, 2))
-            .ordering(OrderingKind::SortedGreedy)
             .priority(Priority::Batch)
             .deadline_in(Duration::from_secs(1))
             .tenant("acme");
-        assert_eq!(spec.ordering, OrderingKind::SortedGreedy);
         assert_eq!(spec.priority, Priority::Batch);
         assert!(spec.deadline.is_some());
         assert_eq!(spec.tenant, "acme");

@@ -13,7 +13,7 @@
 //!
 //! | type | name | body |
 //! |------|------|------|
-//! | 1 | submit | `u8` priority, `u8` engine ([`ENGINE_SEQUENTIAL`]), `u8` ordering ([`hj_core::OrderingKind::index`]), `u64` deadline_ms ([`NO_DEADLINE`] = none), `u16` tenant length + tenant bytes (UTF-8), then an [`hj_matrix::wire`] matrix frame |
+//! | 1 | submit | `u8` priority, `u8` engine ([`ENGINE_SEQUENTIAL`]), `u8` ordering ([`ORDERING_CYCLIC`]), `u64` deadline_ms ([`NO_DEADLINE`] = none), `u16` tenant length + tenant bytes (UTF-8), then an [`hj_matrix::wire`] matrix frame |
 //! | 2 | result | `u64` job id, `u32` sweeps, `u32` n, then n × `f64::to_bits` LE values |
 //! | 3 | error | `u8` code, `u16` kind length + kind bytes, `u16` message length + message bytes |
 //! | 4 | stats request | empty |
@@ -49,6 +49,13 @@ pub const NO_DEADLINE: u64 = u64::MAX;
 /// `bad-engine` error.
 pub const ENGINE_SEQUENTIAL: u8 = 0;
 
+/// The only ordering byte a submit frame may carry: the round-robin cyclic
+/// order ([`hj_core::OrderingKind::index`] of the one ordering). Bytes 1–3
+/// once selected row-cyclic, greedy and presort; the byte stays in the
+/// frame layout so the wire format is unchanged, and the server answers any
+/// other value with a structured `bad-ordering` error.
+pub const ORDERING_CYCLIC: u8 = 0;
+
 /// Hard ceiling on a frame's payload length (256 MiB): a corrupt length
 /// prefix cannot make a peer attempt an unbounded allocation.
 pub const MAX_FRAME_BYTES: u32 = 1 << 28;
@@ -62,8 +69,7 @@ pub enum Frame {
         priority: u8,
         /// Engine byte; must be [`ENGINE_SEQUENTIAL`].
         engine: u8,
-        /// Ordering byte ([`hj_core::OrderingKind::index`]: 0 cyclic,
-        /// 1 row-cyclic, 2 greedy, 3 presort).
+        /// Ordering byte; must be [`ORDERING_CYCLIC`].
         ordering: u8,
         /// Relative deadline in milliseconds from receipt, or
         /// [`NO_DEADLINE`].
@@ -111,7 +117,7 @@ pub enum Frame {
         priority: u8,
         /// Engine byte; must be [`ENGINE_SEQUENTIAL`].
         engine: u8,
-        /// Ordering byte ([`hj_core::OrderingKind::index`]).
+        /// Ordering byte; must be [`ORDERING_CYCLIC`].
         ordering: u8,
         /// Relative deadline in milliseconds from receipt, or
         /// [`NO_DEADLINE`]. The deadline covers the whole batch.

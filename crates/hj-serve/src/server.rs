@@ -11,10 +11,12 @@
 //! problems.
 
 use crate::job::{JobSpec, Priority, RejectReason};
-use crate::protocol::{BatchItem, Frame, ProtoError, ENGINE_SEQUENTIAL, NO_DEADLINE};
+use crate::protocol::{
+    BatchItem, Frame, ProtoError, ENGINE_SEQUENTIAL, NO_DEADLINE, ORDERING_CYCLIC,
+};
 use crate::service::{ServiceConfig, SolveService};
 use crate::stats::ServiceStats;
-use hj_core::{OrderingKind, SvdError};
+use hj_core::SvdError;
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -196,14 +198,14 @@ fn decode_spec(
             message: format!("unknown engine byte {engine}"),
         });
     }
-    let Some(ordering) = OrderingKind::from_index(ordering as usize) else {
+    if ordering != ORDERING_CYCLIC {
         return Err(Frame::Error {
             code: CODE_BAD_REQUEST,
             kind: "bad-ordering".to_string(),
             message: format!("unknown ordering byte {ordering}"),
         });
-    };
-    let mut spec = spec.ordering(ordering).priority(priority).tenant(tenant);
+    }
+    let mut spec = spec.priority(priority).tenant(tenant);
     if deadline_ms != NO_DEADLINE {
         let now = Instant::now();
         spec.deadline = Some(now.checked_add(Duration::from_millis(deadline_ms)).unwrap_or(now));
@@ -317,7 +319,6 @@ pub fn error_kind(err: &SvdError) -> &'static str {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
         SvdError::NonFiniteInput => "non-finite-input",
-        SvdError::OrderingUnsupported { .. } => "ordering-unsupported",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",
     }
@@ -355,49 +356,6 @@ mod tests {
         assert!(final_json.contains("hjsvd-serve-stats/v1"));
         let stats = handle.join().unwrap();
         assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
-    fn ordering_travels_the_wire_and_bad_bytes_are_rejected() {
-        let (handle, addr) = spawn_server(ServiceConfig::default());
-        let mut client = Client::connect(addr).unwrap();
-        let a = gen::uniform(24, 8, 17);
-        // A greedy-ordered remote solve is bit-identical to the local one.
-        let direct = hj_core::HestenesSvd::new(hj_core::SvdOptions {
-            ordering: OrderingKind::SortedGreedy,
-            ..Default::default()
-        })
-        .singular_values(&a)
-        .unwrap();
-        let outcome = client
-            .submit(
-                &a,
-                SubmitOptions { ordering: OrderingKind::SortedGreedy, ..Default::default() },
-            )
-            .unwrap();
-        assert_eq!(outcome.sweeps, direct.sweeps);
-        for (x, y) in outcome.values.iter().zip(direct.values.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "greedy wire spectrum must be bit-identical");
-        }
-        // An out-of-range ordering byte is rejected before admission.
-        let raw = Frame::Submit {
-            priority: 0,
-            engine: 0,
-            ordering: 9,
-            deadline_ms: crate::protocol::NO_DEADLINE,
-            tenant: String::new(),
-            matrix: a.clone(),
-        };
-        let reply = handle_submit_frame(addr, raw);
-        match reply {
-            Frame::Error { code, kind, .. } => {
-                assert_eq!(code, CODE_BAD_REQUEST);
-                assert_eq!(kind, "bad-ordering");
-            }
-            other => panic!("expected error frame, got {other:?}"),
-        }
-        client.shutdown(Duration::from_secs(5)).unwrap();
-        handle.join().unwrap();
     }
 
     #[test]
@@ -459,14 +417,65 @@ mod tests {
         assert_eq!(stats.completed, 1, "refused frames never reach the queue");
     }
 
-    /// Send one raw frame and read the single reply (bypasses the typed
-    /// client, which cannot produce invalid bytes).
-    fn handle_submit_frame(addr: SocketAddr, frame: Frame) -> Frame {
+    #[test]
+    fn retired_ordering_bytes_get_bad_ordering_and_the_connection_survives() {
+        // Bytes 1, 2 and 3 once selected the row-cyclic, greedy and presort
+        // orderings. The frame layout keeps the byte, but only 0 is accepted
+        // now; a refused frame must not cost the client its connection.
+        let (handle, addr) = spawn_server(ServiceConfig::default());
+        let a = gen::uniform(20, 6, 29);
+        let direct =
+            hj_core::HestenesSvd::new(hj_core::SvdOptions::default()).singular_values(&a).unwrap();
         let stream = std::net::TcpStream::connect(addr).unwrap();
         let mut reader = stream.try_clone().unwrap();
         let mut writer = BufWriter::new(stream);
-        frame.write_to(&mut writer).unwrap();
-        Frame::read_from(&mut reader).unwrap()
+        let mut send = |frame: Frame| {
+            frame.write_to(&mut writer).unwrap();
+            Frame::read_from(&mut reader).unwrap()
+        };
+        let submit = |ordering: u8| Frame::Submit {
+            priority: 0,
+            engine: ENGINE_SEQUENTIAL,
+            ordering,
+            deadline_ms: NO_DEADLINE,
+            tenant: String::new(),
+            matrix: a.clone(),
+        };
+        for ordering in [1u8, 2, 3, 255] {
+            match send(submit(ordering)) {
+                Frame::Error { code, kind, message } => {
+                    assert_eq!(code, CODE_BAD_REQUEST);
+                    assert_eq!(kind, "bad-ordering");
+                    assert!(message.contains(&ordering.to_string()), "{message}");
+                }
+                other => panic!("ordering byte {ordering}: expected bad-ordering, got {other:?}"),
+            }
+        }
+        let batch = Frame::SubmitBatch {
+            priority: 0,
+            engine: ENGINE_SEQUENTIAL,
+            ordering: 1,
+            deadline_ms: NO_DEADLINE,
+            tenant: String::new(),
+            matrices: vec![a.clone(), a.clone()],
+        };
+        match send(batch) {
+            Frame::Error { kind, .. } => assert_eq!(kind, "bad-ordering"),
+            other => panic!("batch ordering byte 1: expected bad-ordering, got {other:?}"),
+        }
+        // Same connection, ordering byte 0: solved, bit-identical to local.
+        match send(submit(ORDERING_CYCLIC)) {
+            Frame::Result { sweeps, values, .. } => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&values), bits(&direct.values));
+                assert_eq!(sweeps as usize, direct.sweeps);
+            }
+            other => panic!("ordering byte 0 after refusals: expected result, got {other:?}"),
+        }
+        Client::connect(addr).unwrap().shutdown(Duration::from_secs(5)).unwrap();
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.completed, 1, "refused frames never reach the queue");
+        assert_eq!(ORDERING_CYCLIC as usize, hj_core::OrderingKind::default().index());
     }
 
     #[test]

@@ -30,8 +30,7 @@ pub struct ServiceConfig {
     pub max_attempts: usize,
     /// Base retry backoff; attempt `k` waits `base · 2^(k-1)`.
     pub retry_backoff: Duration,
-    /// Base solver options. The ordering field is overridden per job by
-    /// [`JobSpec::ordering`].
+    /// Solver options every job runs with.
     pub options: SvdOptions,
 }
 
@@ -330,18 +329,15 @@ fn run_bulk(
     solver_for(shared, job).singular_values_batch_with_workspace(matrices, ws)
 }
 
-/// The configured solver for a dispatched job: base options with the job's
-/// ordering override and its deadline + cancellation flag as the
-/// solve budget.
+/// The configured solver for a dispatched job: the service's options with
+/// the job's deadline + cancellation flag as the solve budget.
 fn solver_for(shared: &Shared, job: &QueuedJob) -> HestenesSvd {
-    let mut options = shared.config.options;
-    options.ordering = job.spec.ordering;
     let mut budget = match job.spec.deadline {
         Some(deadline) => SolveBudget::with_deadline(deadline),
         None => SolveBudget::unlimited(),
     };
     budget = budget.cancelled_by(Arc::clone(&job.cancel));
-    HestenesSvd::new(options).with_budget(budget)
+    HestenesSvd::new(shared.config.options).with_budget(budget)
 }
 
 /// Stable fault-class string for an error's trace event.
@@ -350,7 +346,6 @@ fn fault_kind(err: &SvdError) -> &'static str {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
         SvdError::NonFiniteInput => "non-finite-input",
-        SvdError::OrderingUnsupported { .. } => "ordering-unsupported",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",
     }

@@ -2,18 +2,18 @@
 //!
 //! ```text
 //! hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
-//!           [--ordering cyclic|row|greedy|presort] [--threshold-schedule]
-//!           [--timeout-ms T] [--trace PATH] [--trace-level off|sweep|group|rotation]
-//! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--ordering ...]
+//!           [--threshold-schedule] [--timeout-ms T] [--trace PATH]
+//!           [--trace-level off|sweep|group|rotation]
+//! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--threshold-schedule]
 //! hjsvd pca <data.csv> --components K [--out PREFIX]
 //! hjsvd eigh <symmetric.csv>
 //! hjsvd simulate --rows M --cols N [--sweeps S]
 //! hjsvd resources
 //! hjsvd generate --rows M --cols N <out.csv> [--seed S] [--cond C]
 //! hjsvd serve --addr HOST:PORT [--workers N] [--queue-cap N] [--tenant-cap N]
+//!             [--max-attempts N]
 //! hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
-//!             [--priority interactive|batch]
-//!             [--ordering cyclic|row|greedy|presort] [--tenant NAME]
+//!             [--priority interactive|batch] [--tenant NAME]
 //! hjsvd submit-batch <dir-or-csv-list> --addr HOST:PORT [--tenant NAME]
 //!                    [--deadline-ms T]
 //! hjsvd shutdown --addr HOST:PORT [--drain-ms T]
@@ -27,6 +27,8 @@
 //!
 //! Matrices are headerless CSV (one row per line, `#` comments allowed).
 //! Argument parsing is hand-rolled — the workspace takes no CLI dependency.
+//! Each command takes exactly the options listed for it; any other `--name`
+//! is a usage error, never silently ignored.
 //!
 //! When both `--stats -` and `--trace -` are requested, stdout belongs to
 //! the JSONL trace stream and the stats object is routed to **stderr**
@@ -49,7 +51,7 @@
 
 use hjsvd::arch::{resource_usage, ArchConfig, HestenesJacobiArch};
 use hjsvd::core::{
-    eigh, HestenesSvd, JsonlSink, Ordering, Pca, SolveBudget, SolveRequest, SvdError, SvdOptions,
+    eigh, HestenesSvd, JsonlSink, Pca, SolveBudget, SolveRequest, SvdError, SvdOptions,
     ThresholdSchedule, TraceLevel,
 };
 use hjsvd::fpsim::resources::ChipCapacity;
@@ -84,7 +86,7 @@ impl From<SvdError> for CliError {
     fn from(e: SvdError) -> CliError {
         let (code, kind) = match &e {
             SvdError::EmptyInput | SvdError::NonFiniteInput => (4, "bad-input"),
-            SvdError::OrderingUnsupported { .. } | SvdError::ZeroSweepBudget => (5, "bad-config"),
+            SvdError::ZeroSweepBudget => (5, "bad-config"),
             SvdError::TruncatedTailNotNegligible => (6, "not-converged"),
             SvdError::SolveFault { fault, .. } => match fault.kind() {
                 "deadline" => (8, "timeout"),
@@ -109,6 +111,13 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let mut parsed = ParsedArgs::parse(args).map_err(CliError::usage)?;
+    if parsed.flag("help") {
+        print_help();
+        return Ok(());
+    }
+    if let Some((options, flags)) = accepted(&parsed.command, parsed.flag("batch")) {
+        parsed.reject_unknown(options, flags).map_err(CliError::usage)?;
+    }
     match parsed.command.as_str() {
         "svd" => cmd_svd(&mut parsed),
         "pca" => cmd_pca(&mut parsed),
@@ -128,21 +137,46 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
+/// The options (`--key value`) and flags (`--flag`) `command` takes — with
+/// `batch` set, those of `svd --batch`. `None` for commands without a
+/// table (help, unknown commands). The usage text lists exactly these.
+fn accepted(
+    command: &str,
+    batch: bool,
+) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match (command, batch) {
+        ("svd", false) => (
+            &["rank", "out", "stats", "timeout-ms", "trace", "trace-level"],
+            &["values-only", "threshold-schedule"],
+        ),
+        ("svd", true) => (&["stats"], &["batch", "threshold-schedule"]),
+        ("pca", _) => (&["components", "out"], &[]),
+        ("eigh", _) | ("resources", _) => (&[], &[]),
+        ("simulate", _) => (&["rows", "cols", "sweeps"], &[]),
+        ("generate", _) => (&["rows", "cols", "seed", "cond"], &[]),
+        ("serve", _) => (&["addr", "workers", "queue-cap", "tenant-cap", "max-attempts"], &[]),
+        ("submit", _) => (&["addr", "deadline-ms", "priority", "tenant"], &[]),
+        ("submit-batch", _) => (&["addr", "tenant", "deadline-ms"], &[]),
+        ("shutdown", _) => (&["addr", "drain-ms"], &[]),
+        _ => return None,
+    })
+}
+
 fn print_help() {
-    println!(
-        "hjsvd — Hestenes-Jacobi SVD toolkit
+    println!("{USAGE}");
+}
+
+const USAGE: &str = "hjsvd — Hestenes-Jacobi SVD toolkit
 
 USAGE:
   hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
-            [--ordering cyclic|row|greedy|presort] [--threshold-schedule]
-            [--timeout-ms T] [--trace PATH] [--trace-level off|sweep|group|rotation]
+            [--threshold-schedule] [--timeout-ms T] [--trace PATH]
+            [--trace-level off|sweep|group|rotation]
       Decompose a CSV matrix. Prints singular values; with --out, writes
       PREFIX_u.csv / PREFIX_s.csv / PREFIX_v.csv. --rank truncates.
       --stats writes the solve's SolveStats record as JSON (PATH of '-'
-      prints it to stdout). --ordering picks the sweep pair schedule:
-      cyclic (round-robin, default), row (row-cyclic), greedy (largest
-      off-diagonal pairs first, replanned every sweep), or presort (de
-      Rijk descending-column-norm permutation up front).
+      prints it to stdout). Sweeps pair columns in the round-robin
+      cyclic order of the paper's Fig. 6.
       --threshold-schedule ramps the early-sweep rotation threshold down
       to the convergence tolerance, skipping negligible pairs early.
       --timeout-ms bounds wall-clock time: the solve
@@ -151,21 +185,19 @@ USAGE:
       = stdout); --trace-level picks the verbosity (default sweep:
       per-sweep summaries; group adds each sweep's plan; rotation adds
       every applied/skipped rotation).
-  hjsvd svd --batch <dir-or-csv-list> [--stats PATH]
-            [--ordering cyclic|row|greedy|presort] [--threshold-schedule]
+  hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--threshold-schedule]
       Decompose a whole set of matrices in one batch solve (values only).
       The input names a directory (every *.csv inside, sorted) or a
       comma-separated list of CSV paths. Uniform batches of small problems
-      (n <= 32, default ordering) run on the batched SoA engine;
+      (n <= 32, no threshold ramp) run on the batched SoA engine;
       everything else takes the looped per-matrix path. Slots succeed and
       fail independently; --stats writes one SolveStats JSON record per
       successful problem, in slot order, as JSON Lines ('-' = stdout).
   hjsvd pca <data.csv> --components K [--out PREFIX]
       PCA (rows = observations). Prints explained variance; with --out,
       writes PREFIX_scores.csv and PREFIX_components.csv.
-  hjsvd eigh <symmetric.csv> [--ordering cyclic|row|greedy]
-      Eigendecompose a symmetric matrix (Jacobi). presort is rejected:
-      descending-norm pivoting assumes a PSD spectrum.
+  hjsvd eigh <symmetric.csv>
+      Eigendecompose a symmetric matrix (cyclic Jacobi).
   hjsvd simulate --rows M --cols N [--sweeps S]
       Cycle-level timing estimate of the paper's architecture (150 MHz).
   hjsvd resources
@@ -180,8 +212,7 @@ USAGE:
       the worker pool, --queue-cap bounds the admission queue,
       --tenant-cap limits per-tenant in-flight jobs (0 = unlimited).
   hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
-              [--priority interactive|batch]
-              [--ordering cyclic|row|greedy|presort] [--tenant NAME]
+              [--priority interactive|batch] [--tenant NAME]
       Submit a matrix to a running server and print the singular values
       (bit-identical to a local 'svd --values-only' run). --deadline-ms
       bounds the job's wall-clock time (exit code 8 when exceeded);
@@ -195,9 +226,8 @@ USAGE:
       and the exit code is the first failing slot's.
   hjsvd shutdown --addr HOST:PORT [--drain-ms T]
       Gracefully stop a running server: drain in-flight jobs for up to
-      --drain-ms (default 5000), then print the final stats JSON."
-    );
-}
+      --drain-ms (default 5000), then print the final stats JSON.
+  Any option not listed for a command is a usage error (exit code 2).";
 
 /// Minimal deterministic argument cracker: positionals in order, `--flag`
 /// booleans, `--key value` options.
@@ -258,6 +288,18 @@ impl ParsedArgs {
 
     fn required<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
         self.opt_parse(name)?.ok_or_else(|| format!("--{name} is required"))
+    }
+
+    /// Fail on the first option or flag outside the command's `options` /
+    /// `flags`, so a stale or misspelled one is never silently ignored.
+    fn reject_unknown(&self, options: &[&str], flags: &[&str]) -> Result<(), String> {
+        let stray = self.options.iter().map(|(k, _)| k).find(|k| !options.contains(&k.as_str()));
+        match stray.or_else(|| self.flags.iter().find(|f| !flags.contains(&f.as_str()))) {
+            Some(name) => {
+                Err(format!("{} does not take --{name} (see 'hjsvd help')", self.command))
+            }
+            None => Ok(()),
+        }
     }
 }
 
@@ -347,18 +389,6 @@ fn traced_solve<T>(
     Ok(out)
 }
 
-/// Parse the `--ordering` option into an [`Ordering`] (default: cyclic).
-fn ordering_option(p: &ParsedArgs) -> Result<Ordering, CliError> {
-    match p.opt("ordering") {
-        None => Ok(Ordering::default()),
-        Some(v) => Ordering::parse(v).ok_or_else(|| {
-            CliError::usage(format!(
-                "--ordering: unknown ordering '{v}' (choose cyclic, row, greedy, or presort)"
-            ))
-        }),
-    }
-}
-
 /// Resolve a batch input spec — a directory (every `*.csv` inside, sorted
 /// by file name, so batch order is reproducible across filesystems) or a
 /// comma-separated list of CSV paths — into labelled matrices.
@@ -393,9 +423,8 @@ fn cmd_svd_batch(p: &mut ParsedArgs) -> Result<(), CliError> {
         .positional(0, "batch input (directory or comma-separated CSV list)")
         .map_err(CliError::usage)?
         .to_string();
-    let ordering = ordering_option(p)?;
     let threshold = p.flag("threshold-schedule").then(ThresholdSchedule::default);
-    let solver = HestenesSvd::new(SvdOptions { ordering, threshold, ..Default::default() });
+    let solver = HestenesSvd::new(SvdOptions { threshold, ..Default::default() });
     let inputs = load_batch(&spec)?;
     let mats: Vec<Matrix> = inputs.iter().map(|(_, m)| m.clone()).collect();
     let batch = solver.singular_values_batch(&mats);
@@ -439,11 +468,10 @@ fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
     }
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let a = load(&path)?;
-    let ordering = ordering_option(p)?;
     let threshold = p.flag("threshold-schedule").then(ThresholdSchedule::default);
     let timeout_ms: Option<u64> = p.opt_parse("timeout-ms").map_err(CliError::usage)?;
     let trace = trace_option(p)?;
-    let mut solver = HestenesSvd::new(SvdOptions { ordering, threshold, ..Default::default() });
+    let mut solver = HestenesSvd::new(SvdOptions { threshold, ..Default::default() });
     if let Some(ms) = timeout_ms {
         solver = solver.with_budget(SolveBudget::with_timeout(Duration::from_millis(ms)));
     }
@@ -511,9 +539,8 @@ fn cmd_pca(p: &mut ParsedArgs) -> Result<(), CliError> {
 
 fn cmd_eigh(p: &mut ParsedArgs) -> Result<(), CliError> {
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
-    let ordering = ordering_option(p)?;
     let s = load(&path)?;
-    let e = eigh::eigh_dense_ordered(&s, 1e-14, ordering)?;
+    let e = eigh::eigh_dense(&s, 1e-14)?;
     println!("# {} eigenvalues ({} sweeps)", e.eigenvalues.len(), e.sweeps);
     for v in &e.eigenvalues {
         println!("{v}");
@@ -637,7 +664,6 @@ fn cmd_submit(p: &mut ParsedArgs) -> Result<(), CliError> {
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let addr = p.opt("addr").ok_or_else(|| CliError::usage("--addr is required"))?.to_string();
     let a = load(&path)?;
-    let ordering = ordering_option(p)?;
     let priority = match p.opt("priority") {
         None => Priority::Interactive,
         Some(v) => Priority::parse(v).ok_or_else(|| {
@@ -649,9 +675,8 @@ fn cmd_submit(p: &mut ParsedArgs) -> Result<(), CliError> {
     let deadline_ms: Option<u64> = p.opt_parse("deadline-ms").map_err(CliError::usage)?;
     let tenant = p.opt("tenant").unwrap_or("").to_string();
     let mut client = Client::connect(&addr).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
-    let outcome = client
-        .submit(&a, SubmitOptions { ordering, priority, deadline_ms, tenant })
-        .map_err(client_error)?;
+    let outcome =
+        client.submit(&a, SubmitOptions { priority, deadline_ms, tenant }).map_err(client_error)?;
     println!(
         "# {} singular values ({} sweeps, job {})",
         outcome.values.len(),
@@ -680,10 +705,7 @@ fn cmd_submit_batch(p: &mut ParsedArgs) -> Result<(), CliError> {
     let mats: Vec<Matrix> = inputs.iter().map(|(_, m)| m.clone()).collect();
     let mut client = Client::connect(&addr).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     let outcome = client
-        .submit_batch(
-            &mats,
-            SubmitOptions { priority: Priority::Batch, deadline_ms, tenant, ..Default::default() },
-        )
+        .submit_batch(&mats, SubmitOptions { priority: Priority::Batch, deadline_ms, tenant })
         .map_err(client_error)?;
     println!("# job {}: {} problems", outcome.job, outcome.items.len());
     let mut first_err: Option<CliError> = None;
@@ -808,34 +830,107 @@ mod tests {
 
     #[test]
     fn svd_ordering_options_select_strategies_and_reject_unknown() {
+        // Round-robin is the only sweep ordering: svd runs it with or
+        // without the threshold ramp and refuses `--ordering` of any value,
+        // the retired strategy names included.
         let dir = std::env::temp_dir().join("hjsvd_cli_ordering");
         std::fs::create_dir_all(&dir).unwrap();
         let mp = dir.join("m.csv").to_str().unwrap().to_string();
         run(&args(&["generate", "--rows", "12", "--cols", "5", &mp, "--seed", "9"])).unwrap();
-        run(&args(&["svd", &mp, "--ordering", "greedy"])).unwrap();
-        run(&args(&["svd", &mp, "--ordering", "presort"])).unwrap();
-        run(&args(&["svd", &mp, "--values-only", "--ordering", "cyclic", "--threshold-schedule"]))
-            .unwrap();
-        run(&args(&["svd", &mp, "--ordering", "row"])).unwrap();
-        let e = run(&args(&["svd", &mp, "--ordering", "zigzag"])).unwrap_err();
-        assert_eq!((e.code, e.kind), (2, "usage"));
-        assert!(e.message.contains("choose cyclic, row, greedy, or presort"), "{}", e.message);
+        run(&args(&["svd", &mp])).unwrap();
+        run(&args(&["svd", &mp, "--values-only", "--threshold-schedule"])).unwrap();
+        for value in ["cyclic", "row", "greedy", "presort", "zigzag"] {
+            let e = run(&args(&["svd", &mp, "--ordering", value])).unwrap_err();
+            assert_eq!((e.code, e.kind), (2, "usage"), "{value}: {}", e.message);
+            assert!(e.message.contains("svd does not take --ordering"), "{}", e.message);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn eigh_rejects_presort_ordering_with_bad_config() {
+        // eigh solves in the round-robin ordering only, so `--ordering`
+        // (presort included) is a usage error, not a solver configuration.
         let dir = std::env::temp_dir().join("hjsvd_cli_eigh_ordering");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.csv");
         let s = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
         io::save_csv(&s, &path).unwrap();
         let sp = path.to_str().unwrap().to_string();
-        run(&args(&["eigh", &sp, "--ordering", "greedy"])).unwrap();
-        let e = run(&args(&["eigh", &sp, "--ordering", "presort"])).unwrap_err();
-        assert_eq!((e.code, e.kind), (5, "bad-config"));
-        assert!(e.message.contains("presort"), "{}", e.message);
+        run(&args(&["eigh", &sp])).unwrap();
+        for value in ["greedy", "presort"] {
+            let e = run(&args(&["eigh", &sp, "--ordering", value])).unwrap_err();
+            assert_eq!((e.code, e.kind), (2, "usage"), "{value}: {}", e.message);
+            assert!(e.message.contains("eigh does not take --ordering"), "{}", e.message);
+        }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commands_reject_options_they_do_not_take() {
+        let dir = std::env::temp_dir().join("hjsvd_cli_unknown_options");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mp = dir.join("m.csv").to_str().unwrap().to_string();
+        run(&args(&["generate", "--rows", "12", "--cols", "5", &mp, "--seed", "9"])).unwrap();
+        // A dead address: had the option been ignored, submit would fail
+        // later with an io error instead of the usage error.
+        let dead = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().to_string()
+        };
+        for (argv, name) in [
+            (vec!["svd", &mp, "--values-only", "--engine", "par"], "--engine"),
+            (vec!["svd", "--batch", &mp, "--ordering", "greedy"], "--ordering"),
+            (vec!["svd", "--batch", &mp, "--values-only"], "--values-only"),
+            (vec!["submit", &mp, "--addr", &dead, "--ordering", "row"], "--ordering"),
+            (vec!["pca", &mp, "--components", "2", "--threshold-schedule"], "--threshold-schedule"),
+            (vec!["serve", "--addr", "127.0.0.1:0", "--engine", "seq"], "--engine"),
+        ] {
+            let e = run(&args(&argv)).unwrap_err();
+            assert_eq!((e.code, e.kind), (2, "usage"), "{argv:?}: {}", e.message);
+            assert!(e.message.contains(&format!("does not take {name}")), "{}", e.message);
+        }
+        // `--help` after any command prints the usage text instead.
+        run(&args(&["svd", &mp, "--ordering", "greedy", "--help"])).unwrap();
+        // The options a command does take still run.
+        run(&args(&["svd", &mp, "--values-only", "--threshold-schedule"])).unwrap();
+        run(&args(&["svd", "--batch", &mp, "--threshold-schedule"])).unwrap();
+        let e = run(&args(&["eigh", &mp])).unwrap_err();
+        assert_eq!((e.code, e.kind), (4, "bad-input"), "12×5 is not square: {}", e.message);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn usage_text_lists_exactly_the_accepted_options() {
+        // Each command's synopsis lines (the `  hjsvd <cmd>` line and its
+        // `[...]` continuations) name every option and flag the command
+        // takes, and nothing else.
+        let mut blocks: Vec<(String, Vec<String>)> = Vec::new();
+        for line in USAGE.lines() {
+            let trimmed = line.trim_start();
+            if let Some(rest) = line.strip_prefix("  hjsvd ") {
+                let command = rest.split_whitespace().next().unwrap().to_string();
+                blocks.push((command, Vec::new()));
+            } else if !(trimmed.starts_with('[') && line.starts_with("        ")) {
+                continue;
+            }
+            let names = &mut blocks.last_mut().unwrap().1;
+            for token in line.split(|c: char| c.is_whitespace() || c == '[' || c == ']') {
+                if let Some(name) = token.strip_prefix("--") {
+                    names.push(name.to_string());
+                }
+            }
+        }
+        assert_eq!(blocks.len(), 11, "{blocks:?}");
+        for (command, mut listed) in blocks {
+            let batch = listed.iter().any(|n| n == "batch");
+            let (options, flags) = accepted(&command, batch).expect("every listed command");
+            let mut want: Vec<String> =
+                options.iter().chain(flags).map(|s| s.to_string()).collect();
+            listed.sort();
+            want.sort();
+            assert_eq!(listed, want, "{command} (batch {batch})");
+        }
     }
 
     #[test]
@@ -1023,9 +1118,9 @@ mod tests {
             assert!(line.contains("\"engine\":\"batch-soa\""), "{line}");
         }
 
-        // Comma-separated list input; a non-default ordering opts out of
-        // the SoA dispatch and the stats name the engine that actually ran.
-        run(&args(&["svd", "--batch", &paths.join(","), "--ordering", "greedy", "--stats", &sp]))
+        // Comma-separated list input; the threshold ramp opts out of the
+        // SoA dispatch and the stats name the engine that actually ran.
+        run(&args(&["svd", "--batch", &paths.join(","), "--threshold-schedule", "--stats", &sp]))
             .unwrap();
         let looped = std::fs::read_to_string(&sp).unwrap();
         assert_eq!(looped.lines().count(), 3);

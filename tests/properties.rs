@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! numerical invariants of the workspace.
 
-use hjsvd::core::ordering::{round_robin, row_cyclic, Ordering, PlanBuffers};
+use hjsvd::core::ordering::{round_robin, Cyclic, OrderingStrategy, Sweep};
 use hjsvd::core::rotation::{hardware_params, rotate_norms, textbook_params};
 use hjsvd::core::{BatchDriver, BatchWorkspace, GramState, HestenesSvd, SvdOptions};
 use hjsvd::matrix::{gen, norms, PackedSymmetric};
@@ -78,12 +78,6 @@ proptest! {
                 prop_assert!(used.insert(i) && used.insert(j));
             }
         }
-    }
-
-    #[test]
-    fn row_cyclic_covers_every_pair(n in 2usize..30) {
-        let sweep = row_cyclic(n);
-        prop_assert_eq!(sweep.pair_count(), n * (n - 1) / 2);
     }
 
     #[test]
@@ -262,25 +256,26 @@ proptest! {
         n1 in 2usize..12,
         n2 in 2usize..12,
     ) {
-        // One workspace carried across different-shaped solves — and across
-        // every ordering, whose plan buffers it pools — produces the same
-        // bits as a fresh workspace per solve: no state leaks.
-        use hjsvd::core::{SolveRequest, SweepWorkspace};
+        // One workspace carried across different-shaped solves — with and
+        // without the threshold ramp, over the one cached cyclic plan —
+        // produces the same bits as a fresh workspace per solve: no state
+        // leaks.
+        use hjsvd::core::{SolveRequest, SweepWorkspace, ThresholdSchedule};
         let shapes = [(2 * n1 + 1, n1), (3 * n2, n2)];
         let mut ws = SweepWorkspace::new();
         for (k, &(m, n)) in shapes.iter().enumerate() {
             let src = gen::uniform(m, n, seed.wrapping_add(k as u64));
-            for ordering in Ordering::ALL {
-                let solver = HestenesSvd::new(SvdOptions { ordering, ..Default::default() });
+            for threshold in [None, Some(ThresholdSchedule::default())] {
+                let solver = HestenesSvd::new(SvdOptions { threshold, ..Default::default() });
                 let reused =
                     solver.decompose_with(&src, SolveRequest::default().with_workspace(&mut ws)).unwrap();
                 let fresh = solver.decompose(&src).unwrap();
                 prop_assert_eq!(reused.u.as_slice(), fresh.u.as_slice(),
-                    "U differs on solve {} ({})", k, ordering.name());
+                    "U differs on solve {} ({:?})", k, threshold);
                 prop_assert_eq!(reused.v.as_slice(), fresh.v.as_slice(),
-                    "V differs on solve {} ({})", k, ordering.name());
+                    "V differs on solve {} ({:?})", k, threshold);
                 prop_assert_eq!(&reused.singular_values, &fresh.singular_values,
-                    "σ differs on solve {} ({})", k, ordering.name());
+                    "σ differs on solve {} ({:?})", k, threshold);
                 prop_assert_eq!(reused.sweeps, fresh.sweeps);
             }
         }
@@ -294,78 +289,26 @@ proptest! {
         // The scheduling contract every strategy must honor, sweep after
         // sweep: pairs are (i, j) with i < j < n, no pair is visited twice
         // within one sweep, no column appears twice within one round, and —
-        // for the strategies shipped today, which are all full-coverage —
-        // every pair is visited exactly once per sweep.
+        // for the cyclic strategy, the one the crate ships — every pair is
+        // visited exactly once per sweep.
         let a = gen::uniform(2 * n + 1, n, seed);
         let gram = GramState::from_matrix(&a);
-        let mut buffers = PlanBuffers::new();
-        for kind in Ordering::ALL {
-            let (strategy, plan) = buffers.schedule_parts(kind);
-            for sweep_index in 1..=3usize {
-                strategy.plan_sweep(&gram, sweep_index, plan);
-                let mut seen = std::collections::HashSet::new();
-                for round in plan.rounds() {
-                    let mut used = std::collections::HashSet::new();
-                    for &(i, j) in round {
-                        prop_assert!(i < j && j < n,
-                            "{}: bad pair ({i},{j}) for n={n}", kind.name());
-                        prop_assert!(seen.insert((i, j)),
-                            "{}: pair ({i},{j}) visited twice in sweep {sweep_index}", kind.name());
-                        prop_assert!(used.insert(i) && used.insert(j),
-                            "{}: column reused within a round", kind.name());
-                    }
+        let (mut strategy, mut plan) = (Cyclic::new(), Sweep::new());
+        for sweep_index in 1..=3usize {
+            strategy.plan_sweep(&gram, sweep_index, &mut plan);
+            let mut seen = std::collections::HashSet::new();
+            for round in plan.rounds() {
+                let mut used = std::collections::HashSet::new();
+                for &(i, j) in round {
+                    prop_assert!(i < j && j < n, "bad pair ({i},{j}) for n={n}");
+                    prop_assert!(seen.insert((i, j)),
+                        "pair ({i},{j}) visited twice in sweep {sweep_index}");
+                    prop_assert!(used.insert(i) && used.insert(j), "column reused within a round");
                 }
-                prop_assert_eq!(seen.len(), n * (n - 1) / 2,
-                    "{}: sweep {} must cover every pair", kind.name(), sweep_index);
             }
+            prop_assert_eq!(seen.len(), n * (n - 1) / 2,
+                "sweep {} must cover every pair", sweep_index);
         }
-    }
-
-    #[test]
-    fn presort_folds_the_permutation_into_v_bit_exactly(seed in 0u64..60, n in 2usize..12) {
-        // The de Rijk presort is "cyclic on the column-permuted matrix, with
-        // V's rows put back in input order" — so against a manual
-        // permute-then-cyclic solve it must reproduce U and σ bit for bit,
-        // and V row-permuted by the same permutation.
-        use hjsvd::matrix::{ops, Matrix};
-        let m = 2 * n + 3;
-        let a = gen::uniform(m, n, seed);
-
-        // Replicate the solver's permutation: descending column norm, ties
-        // (and NaN) by column index via total_cmp.
-        let norms_v: Vec<f64> = (0..n).map(|c| ops::norm(a.col(c))).collect();
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.sort_by(|&x, &y| norms_v[y].total_cmp(&norms_v[x]).then(x.cmp(&y)));
-        let mut ap = Matrix::zeros(m, n);
-        for (t, &c) in perm.iter().enumerate() {
-            ap.col_mut(t).copy_from_slice(a.col(c));
-        }
-
-        let pre = HestenesSvd::new(SvdOptions {
-            ordering: Ordering::ColumnNormPresort,
-            ..Default::default()
-        })
-        .decompose(&a)
-        .unwrap();
-        let cyc = HestenesSvd::new(SvdOptions::default()).decompose(&ap).unwrap();
-
-        prop_assert_eq!(pre.sweeps, cyc.sweeps, "sweep counts differ");
-        prop_assert_eq!(pre.u.as_slice(), cyc.u.as_slice(), "U bits differ");
-        for (s_pre, s_cyc) in pre.singular_values.iter().zip(&cyc.singular_values) {
-            prop_assert_eq!(s_pre.to_bits(), s_cyc.to_bits(), "σ bits differ");
-        }
-        // V_presort = P·V_cyclic: row perm[t] of the presort V is row t of
-        // the cyclic-on-permuted V, bitwise.
-        for k in 0..pre.v.cols() {
-            let (col_pre, col_cyc) = (pre.v.col(k), cyc.v.col(k));
-            for t in 0..n {
-                prop_assert_eq!(col_pre[perm[t]].to_bits(), col_cyc[t].to_bits(),
-                    "V row permutation broken at (t={t}, k={k})");
-            }
-        }
-        // And the presorted solve still factors the *original* matrix.
-        let err = norms::reconstruction_error(&a, &pre.u, &pre.singular_values, &pre.v);
-        prop_assert!(err < 1e-10, "presort reconstruction error {err}");
     }
 
     #[test]
@@ -373,11 +316,11 @@ proptest! {
         seed in 0u64..60,
         n in 2usize..12,
     ) {
-        // The ordering refactor moved plan construction behind
-        // OrderingStrategy + PlanBuffers; the default cyclic schedule must
-        // still produce the exact bits of the fixed round_robin(n) plan run
-        // by the one sweep loop on a full target (the sweep engine is the
-        // only one).
+        // Plan construction sits behind OrderingStrategy and the
+        // workspace's cached plan; the default cyclic schedule must still
+        // produce the exact bits of the fixed round_robin(n) plan run by the
+        // one sweep loop on a full target (the sweep engine is the only
+        // one).
         use hjsvd::core::convergence::{Convergence, MAX_SWEEP_CAP};
         use hjsvd::core::engine::Sequential;
         use hjsvd::core::{PairGuard, RotationTarget, SolveDriver, SweepState};
@@ -412,12 +355,7 @@ proptest! {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "unsorted V bits differ");
         }
 
-        let svd = HestenesSvd::new(SvdOptions {
-            ordering: Ordering::RoundRobin,
-            ..Default::default()
-        })
-        .decompose(&a)
-        .unwrap();
+        let svd = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
         prop_assert_eq!(svd.sweeps, history.len(), "sweep count changed");
 
         let mut idx: Vec<usize> = (0..n).collect();
